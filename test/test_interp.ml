@@ -294,6 +294,235 @@ let test_abort_hook () =
   check_bool "aborted" true
     (match r.outcome with Interp.Crash.Aborted _ -> true | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Frames and memory: the cases a per-function layout could get wrong *)
+
+let test_local_shadows_global () =
+  check_int "local read, global untouched" 75
+    (exit_code
+       (run
+          "int x = 5;\n\
+           int f() { int x = 7; x = x + 0; return x; }\n\
+           int g() { return x; }\n\
+           int main() { int a = f(); return a * 10 + g(); }"))
+
+let test_recursion_fresh_blocks () =
+  (* every activation owns its own [x]; the caller's stays alive and
+     writable through a pointer while the callee runs *)
+  check_int "distinct live activations" 63
+    (exit_code
+       (run
+          "int f(int n, int *outer) {\n\
+          \  int x = n * 10;\n\
+          \  if (outer != 0) { if (outer == &x) return -1000; *outer = *outer + 1; }\n\
+          \  if (n == 0) return 0;\n\
+          \  int r = f(n - 1, &x);\n\
+          \  return r + x;\n\
+           }\n\
+           int main() { return f(3, 0); }"))
+
+let test_dangling_after_reentry () =
+  (* the function is active again, with a fresh [x], when the stale
+     pointer into its previous activation is dereferenced *)
+  let src =
+    "int *saved;\n\
+     int h(int first) { int x = 42; if (first) { saved = &x; return 0; } return *saved; }\n\
+     int main() { h(1); return h(0); }"
+  in
+  check_bool "uaf on re-entry" true (crash_kind (run src) = Interp.Crash.Use_after_free);
+  let src2 =
+    "int *leak(int v) { int x = v; return &x; }\n\
+     int main() { int *p = leak(1); int *q = leak(2); return *p; }"
+  in
+  check_bool "uaf after second call" true
+    (crash_kind (run src2) = Interp.Crash.Use_after_free)
+
+(* A pointer with an arbitrary block id, planted in global [p] through the
+   checkpoint interface, then dereferenced. *)
+let forged_deref ~base ~off =
+  let hooks =
+    {
+      Interp.Eval.no_hooks with
+      on_checkpoint =
+        (fun access ->
+          check_bool "write_global" true
+            (access.write_global "p" 0 (Interp.Value.ptr ~base ~off)));
+    }
+  in
+  crash_kind (run ~hooks "int *p;\nint main() { checkpoint(); return *p; }")
+
+let test_forged_pointers () =
+  let kind =
+    Alcotest.testable
+      (fun ppf k -> Format.pp_print_string ppf (Interp.Crash.kind_to_string k))
+      ( = )
+  in
+  let check name expected ~base ~off =
+    Alcotest.check kind name expected (forged_deref ~base ~off)
+  in
+  check "base 0" Interp.Crash.Use_after_free ~base:0 ~off:0;
+  check "negative base" Interp.Crash.Use_after_free ~base:(-3) ~off:0;
+  check "base past the last block" Interp.Crash.Invalid_pointer ~base:9999 ~off:0;
+  check "live block, bad offset" Interp.Crash.Out_of_bounds ~base:1 ~off:5;
+  check "live block, negative offset" Interp.Crash.Out_of_bounds ~base:1 ~off:(-1)
+
+(* ------------------------------------------------------------------ *)
+(* Equivalence golden
+
+   Whole-program runs of the shipped workloads, fingerprinted: outcome,
+   output, steps, every cost counter, and digests of what the hooks saw
+   (the branch sequence, concretisations, checkpoint global access).  The
+   expected lines were captured before the evaluator moved to slot-indexed
+   frames and an array-backed block store; any change to the evaluator
+   must reproduce them exactly. *)
+
+let hex s = Digest.to_hex (Digest.string s)
+
+type probe = {
+  branches : Buffer.t;
+  concretized : Buffer.t;
+  checkpoints : Buffer.t;
+}
+
+let probe_hooks p =
+  {
+    Interp.Eval.on_branch =
+      (fun ~bid ~iter ~taken ~cond ->
+        Printf.bprintf p.branches "%d,%d,%b;" bid iter taken;
+        if Interp.Value.is_symbolic cond then
+          Printf.bprintf p.branches "%s;" (Interp.Value.to_string cond));
+    on_concretize = (fun _ n -> Printf.bprintf p.concretized "%d;" n);
+    on_checkpoint =
+      (fun access ->
+        List.iter
+          (fun (name, size) ->
+            Printf.bprintf p.checkpoints "%s/%d:" name size;
+            for off = 0 to size - 1 do
+              match access.read_global name off with
+              | Some v -> Printf.bprintf p.checkpoints "%s," (Interp.Value.to_string v)
+              | None -> Buffer.add_string p.checkpoints "-,"
+            done)
+          (access.list_globals ()));
+  }
+
+let fingerprint name (r : Interp.Eval.result) p =
+  let c = r.cost in
+  Printf.sprintf
+    "%s | %s | out %d %s | steps %d | instr %d br %d lbr %d sys %d lsys %d | \
+     branches %s | conc %s | ckpt %s"
+    name
+    (Interp.Crash.outcome_to_string r.outcome)
+    (String.length r.output) (hex r.output) r.steps c.instr c.branches
+    c.logged_branches c.syscalls c.logged_syscalls
+    (hex (Buffer.contents p.branches))
+    (hex (Buffer.contents p.concretized))
+    (hex (Buffer.contents p.checkpoints))
+
+let new_probe () =
+  { branches = Buffer.create 4096; concretized = Buffer.create 64; checkpoints = Buffer.create 64 }
+
+(* A concrete run on the simulated world, as at the user site. *)
+let golden_concrete ?scheduler name (sc : Concolic.Scenario.t) =
+  let p = new_probe () in
+  let _w, handle = Osmodel.World.kernel sc.world in
+  let r =
+    Interp.Eval.run sc.prog
+      {
+        Interp.Eval.inputs = Interp.Inputs.of_strings sc.args;
+        kernel = Interp.Kernel.of_world handle;
+        hooks = probe_hooks p;
+        max_steps = sc.max_steps;
+        scheduler;
+      }
+  in
+  fingerprint name r p
+
+(* A concolic run with symbolic argv, stream bytes and syscall results, as
+   in dynamic analysis. *)
+let golden_symbolic name (sc : Concolic.Scenario.t) =
+  let p = new_probe () in
+  let vars = Solver.Symvars.create () in
+  let world, handle = Osmodel.World.kernel sc.world in
+  let sk =
+    Concolic.Sym_kernel.create ~vars ~model:Solver.Model.empty ~world ~handle
+      ~sym_results:true ()
+  in
+  let caps = (Concolic.Scenario.shape_of sc).arg_caps in
+  let r =
+    Interp.Eval.run sc.prog
+      {
+        Interp.Eval.inputs =
+          Concolic.Sym_kernel.symbolic_args ~vars ~model:Solver.Model.empty sc ~caps;
+        kernel = Concolic.Sym_kernel.kernel sk;
+        hooks = probe_hooks p;
+        max_steps = sc.max_steps;
+        scheduler = None;
+      }
+  in
+  fingerprint name r p
+
+let golden_runs () =
+  let userver = Workloads.Userver.scenario (Workloads.Http_gen.workload ~seed:11 12) in
+  let file_a, file_b =
+    Workloads.Diffutil.file_pair ~seed:5 ~lines:12 ~width:16 ~edits:3 ()
+  in
+  let diff = Workloads.Diffutil.scenario ~snapshot:false ~file_a ~file_b () in
+  let coreutils =
+    List.map
+      (fun (e : Workloads.Coreutils.entry) ->
+        golden_concrete e.util (Workloads.Coreutils.crash_scenario e))
+      Workloads.Coreutils.catalog
+  in
+  let mtrace = Workloads.Mtrace.scenario ~seed:3 () in
+  let sched_rng = Osmodel.Rng.create (mtrace.world.seed + 7919) in
+  let scheduler =
+    Instrument.Schedule_log.recording_scheduler ~rng:sched_rng
+      (Instrument.Schedule_log.create ())
+  in
+  let ckpt =
+    Workloads.Userver.checkpointed_scenario
+      (Workloads.Http_gen.workload ~seed:3 12
+      @ (Workloads.Userver.experiment 1).requests)
+  in
+  [ golden_concrete "userver" userver; golden_concrete "diff" diff ]
+  @ coreutils
+  @ [
+      golden_concrete ~scheduler "mtrace" mtrace;
+      golden_concrete "userver-ckpt" ckpt;
+      golden_symbolic "paste-sym"
+        (Workloads.Coreutils.analysis_scenario (Workloads.Coreutils.find "paste"));
+      golden_symbolic "userver-exp2-sym"
+        (Workloads.Userver.experiment_scenario (Workloads.Userver.experiment 2));
+    ]
+
+let golden_expected =
+  [
+    "userver | exit(0) | out 288 507f609439de7d18537a1b8054fce7cd | steps 49389 | instr 271473 br 21371 lbr 0 sys 195 lsys 0 \
+     | branches c2d8e7a70c34f3256eadfbcd1089609c | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "diff | exit(1) | out 133 b8c210d854f3c561e9897b5e38491a43 | steps 9317 | instr 55329 br 3992 lbr 0 sys 10 lsys 0 \
+     | branches d2966c6c11a0044d7101edd04630b309 | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "mkdir | CRASH: out-of-bounds at mkdir.c:8:5 (in apply_mode) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 99 | instr 570 br 36 lbr 0 sys 0 lsys 0 \
+     | branches db08e575cf1b4c30a0946925b0c06cc1 | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "mknod | CRASH: out-of-bounds at mknod.c:10:3 (in register_dev) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 107 | instr 527 br 48 lbr 0 sys 0 lsys 0 \
+     | branches 89e7e3d1a75425e59667af6c6913476c | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "mkfifo | CRASH: out-of-bounds at mkfifo.c:11:7 (in split_components) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 148 | instr 812 br 68 lbr 0 sys 0 lsys 0 \
+     | branches c96ff9040e69f5460eb031d61a5f2b5f | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "paste | CRASH: out-of-bounds at paste.c:19:5 (in decode_delim) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 151 | instr 704 br 48 lbr 0 sys 0 lsys 0 \
+     | branches 596989169813e52f08b4b99374b98eb6 | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "mtrace | CRASH: out-of-bounds at mtrace.c:18:9 (in worker) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 1122 | instr 5639 br 465 lbr 0 sys 0 lsys 0 \
+     | branches d70b59f9f59dc59688b611a38b0dc5ff | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "userver-ckpt | CRASH: out-of-bounds at userver-ckpt.c:158:5 (in handle_request) | out 275 a73da5175a1c7d0b61c8f8c1529f45b8 | steps 57585 | instr 320682 br 25818 lbr 0 sys 205 lsys 0 \
+     | branches d15f036b3b5d6a75993b5f9e7bf8b8c8 | conc d41d8cd98f00b204e9800998ecf8427e | ckpt b36a59062a71b98bc943f702f6407700";
+    "paste-sym | exit(0) | out 36 f948d5599006339d9b9aa46302671197 | steps 348 | instr 1682 br 124 lbr 0 sys 0 lsys 0 \
+     | branches 5f6cf7ac34cec3c3b1e4f529af1a1c6d | conc d41d8cd98f00b204e9800998ecf8427e | ckpt d41d8cd98f00b204e9800998ecf8427e";
+    "userver-exp2-sym | CRASH: div-by-zero at userver.c:210:9 (in handle_request) | out 0 d41d8cd98f00b204e9800998ecf8427e | steps 5678 | instr 30537 br 2371 lbr 0 sys 29 lsys 0 \
+     | branches c5a161601e1eed1208783dcb7bdd60cb | conc c7c268245fcfce8a5e8330f276b8c8c8 | ckpt d41d8cd98f00b204e9800998ecf8427e";
+  ]
+
+let test_equivalence_golden () =
+  let actual = golden_runs () in
+  Alcotest.(check (list string)) "golden" golden_expected actual
+
 let () =
   Alcotest.run "interp"
     [
@@ -344,4 +573,15 @@ let () =
           Alcotest.test_case "cost monotone" `Quick test_cost_monotone_in_work;
           Alcotest.test_case "abort hook" `Quick test_abort_hook;
         ] );
+      ( "frames and memory",
+        [
+          Alcotest.test_case "local shadows global" `Quick test_local_shadows_global;
+          Alcotest.test_case "recursion gets fresh blocks" `Quick
+            test_recursion_fresh_blocks;
+          Alcotest.test_case "dangling pointer after re-entry" `Quick
+            test_dangling_after_reentry;
+          Alcotest.test_case "forged pointers" `Quick test_forged_pointers;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "evaluator equivalence" `Quick test_equivalence_golden ] );
     ]
