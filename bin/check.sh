@@ -19,9 +19,16 @@
 #                             # a triage-service smoke (seeded loadgen
 #                             # burst through `bugrepro serve` with a
 #                             # bounded queue, snapshot JSON validated),
-#                             # and an adaptive smoke (two closed-loop
+#                             # an adaptive smoke (two closed-loop
 #                             # deployment rounds: round 1 refines, round
-#                             # 2 ships fewer bits, JSON validated)
+#                             # 2 ships fewer bits, JSON validated), and
+#                             # the benchmark self-test (below)
+#   $ bin/check.sh --perfbench  # only the benchmark self-test:
+#                             # python3 perfbench/selftest.py at smoke
+#                             # scale — instrumented and bare runs print
+#                             # the same output, replayed inputs crash
+#                             # when re-run concretely, metrics match
+#                             # BENCHMARK.json (CI runs this as its own job)
 #
 # FUZZ_COUNT overrides the smoke's case count (the nightly CI lane sets
 # it to a few thousand); FUZZ_SEED overrides the campaign seed.
@@ -39,11 +46,13 @@ fi
 cd "$(dirname "$0")/.."
 
 QUICK=0
+PERFBENCH_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --quick) QUICK=1 ;;
+    --perfbench) PERFBENCH_ONLY=1 ;;
     *)
-      echo "usage: bin/check.sh [--quick]" >&2
+      echo "usage: bin/check.sh [--quick | --perfbench]" >&2
       exit 2
       ;;
   esac
@@ -53,6 +62,23 @@ if ! command -v dune >/dev/null 2>&1; then
   echo "error: dune not found on PATH — install the OCaml toolchain" \
        "(opam install dune) or enter the right opam switch" >&2
   exit 1
+fi
+
+perfbench_selftest() {
+  echo "== perfbench self-test (smoke scale) =="
+  # every workload at smoke scale, traced and untraced, with the
+  # benchmark's own correctness checks on (a violated one fails the run)
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "error: python3 not found; the benchmark self-test needs it" >&2
+    exit 1
+  fi
+  python3 perfbench/selftest.py
+}
+
+if [ "$PERFBENCH_ONLY" = 1 ]; then
+  perfbench_selftest
+  echo "== all checks passed =="
+  exit 0
 fi
 
 echo "== PRNG hygiene (no global Random in lib/ or bench/) =="
@@ -235,6 +261,8 @@ EOF
   else
     echo "python3 not found; skipping JSON validation of $ADAPT"
   fi
+
+  perfbench_selftest
 fi
 
 echo "== all checks passed =="

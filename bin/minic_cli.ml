@@ -156,6 +156,12 @@ let () =
               sc
           in
           let sta = Staticanalysis.Static.analyze ~refine:o.refine prog in
+          if sta.widened_loops > 0 then
+            Printf.eprintf
+              "static: warning: %d loop fixpoint(s) finished by widening \
+               (precision may be reduced)\n\
+               %!"
+              sta.widened_loops;
           if o.suppression then begin
             (* probe-elision verdicts for the paper-default Dynamic_static
                plan, with the same proof check and reconstruction-parity

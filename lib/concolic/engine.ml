@@ -96,9 +96,6 @@ let constraints_of (p : pending) : Solver.Expr.t list =
 
 let monotonic () = Unix.gettimeofday ()
 
-(* diagnostics: print pendings that come back Unsat/Unknown *)
-let debug_solver = ref false
-
 (* Solve a pending's constraint set, escalating once on Unknown: an Unknown
    abandons this pending subtree for good — fatal when it carries a
    log-forced direction.  Routed through the memoizing cache when one is
@@ -223,18 +220,8 @@ let explore_seq ~vars ~budget ~strategy ?cache ?session ~telemetry ~run
             do_run model (p.upto + 1)
               (Some (p.upto, negated_of p))
               (negated_of p :: p.lineage)
-        | Solver.Solve.Unsat ->
-            if !debug_solver then
-              Printf.eprintf "UNSAT pending upto=%d negated=%s (prefix %d)\n%!"
-                p.upto
-                (Solver.Expr.to_string (negated_of p))
-                (List.length cs);
-            stats.unsat <- stats.unsat + 1
-        | Solver.Solve.Unknown ->
-            if !debug_solver then
-              Printf.eprintf "UNKNOWN pending upto=%d negated=%s\n%!" p.upto
-                (Solver.Expr.to_string (negated_of p));
-            stats.unknown <- stats.unknown + 1)
+        | Solver.Solve.Unsat -> stats.unsat <- stats.unsat + 1
+        | Solver.Solve.Unknown -> stats.unknown <- stats.unknown + 1)
   done;
   !found
 

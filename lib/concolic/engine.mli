@@ -79,9 +79,6 @@ val reset_steal_total : unit -> unit
 
 val steal_total : unit -> int
 
-(** Print solver failures on pendings to stderr. *)
-val debug_solver : bool ref
-
 (** Explore paths until the budget is exhausted or [should_stop] returns
     true for a run.  Returns the statistics and, if stopped early, the
     model and result of the stopping run.

@@ -65,18 +65,26 @@ type _ Effect.t +=
   | Join_eff : int -> Value.t Effect.t
   | My_tid_eff : int Effect.t
 
-type frame = {
-  fn : Ast.func;
-  var_blocks : (string, int) Hashtbl.t;
-  var_types : (string, Types.t) Hashtbl.t;
-  mutable owned : int list;  (** blocks to kill on return *)
+(* A function's variables, resolved once per run: its parameters, then its
+   locals, each mapped to a slot index.  Slot [i] of every activation holds
+   the block of variable [i]; [types.(i)] is its declared type. *)
+type layout = {
+  slots : (string, int) Hashtbl.t;
+  types : Types.t array;
+  nparams : int;
 }
+
+type callee = Builtin | User of Ast.func * layout
+
+type frame = { fn : Ast.func; layout : layout; blocks : int array }
 
 type state = {
   prog : Program.t;
   mem : Memory.t;
-  globals : (string, int) Hashtbl.t;
-  global_types : (string, Types.t) Hashtbl.t;
+  globals : (string, loc_cell) Hashtbl.t;  (** block and declared type *)
+  callees : (string, callee) Hashtbl.t;
+      (** built on a function's first call in this run; never shared across
+          runs, so concurrent runs share no mutable state *)
   string_lits : (string, int) Hashtbl.t;
   inputs : Inputs.t;
   kernel : Kernel.t;
@@ -105,25 +113,24 @@ let step st =
 (* ------------------------------------------------------------------ *)
 (* Variable lookup *)
 
-let var_block st x =
-  match st.frames with
-  | f :: _ when Hashtbl.mem f.var_blocks x -> Hashtbl.find f.var_blocks x
-  | _ -> (
-      match Hashtbl.find_opt st.globals x with
-      | Some b -> b
-      | None -> invalid_arg ("unbound variable " ^ x))
+let global_cell st x =
+  match Hashtbl.find_opt st.globals x with
+  | Some l -> l
+  | None -> invalid_arg ("unbound variable " ^ x)
 
-let var_type st x =
+(* The block and type of variable [x]: the current frame's, else the
+   global's. *)
+let var_cell st x : loc_cell =
   match st.frames with
-  | f :: _ when Hashtbl.mem f.var_types x -> Hashtbl.find f.var_types x
-  | _ -> (
-      match Hashtbl.find_opt st.global_types x with
-      | Some t -> t
-      | None -> invalid_arg ("unbound variable " ^ x))
+  | f :: _ -> (
+      match Hashtbl.find_opt f.layout.slots x with
+      | Some i -> { base = f.blocks.(i); off = 0; ty = f.layout.types.(i) }
+      | None -> global_cell st x)
+  | [] -> global_cell st x
 
 let rec type_of_lval st (lv : Ast.lval) : Types.t =
   match lv with
-  | Var x -> var_type st x
+  | Var x -> (var_cell st x).ty
   | Index (b, _) -> (
       match Types.element (type_of_lval st b) with Some t -> t | None -> Types.Tint)
   | Star e -> (
@@ -163,12 +170,9 @@ let intern_string st s =
   | Some b -> Value.ptr ~base:b ~off:0
   | None ->
       let n = String.length s in
-      let b = Memory.alloc st.mem ~name:(Printf.sprintf "%S" s) ~size:(n + 1) in
+      let b = Memory.alloc st.mem ~size:(n + 1) in
       String.iteri
-        (fun i c ->
-          match Memory.store st.mem ~base:b ~off:i (Value.int_ (Char.code c)) with
-          | Ok () -> ()
-          | Error _ -> assert false)
+        (fun i c -> Memory.set st.mem ~base:b ~off:i (Value.int_ (Char.code c)))
         s;
       Hashtbl.replace st.string_lits s b;
       Value.ptr ~base:b ~off:0
@@ -290,7 +294,7 @@ and eval_binop st op a_e b_e : Value.t =
 
 and resolve_lval st (lv : Ast.lval) : loc_cell =
   match lv with
-  | Var x -> { base = var_block st x; off = 0; ty = var_type st x }
+  | Var x -> var_cell st x
   | Index (b, idx) -> (
       let l = resolve_lval st b in
       let iv = eval_expr st idx in
@@ -317,9 +321,9 @@ and resolve_lval st (lv : Ast.lval) : loc_cell =
       | Int _ -> crash st Crash.Invalid_pointer)
 
 and load_raw st (l : loc_cell) : Value.t =
-  match Memory.load st.mem ~base:l.base ~off:l.off with
-  | Ok v -> v
-  | Error f -> crash st (Memory.fault_to_crash_kind f)
+  match Memory.get st.mem ~base:l.base ~off:l.off with
+  | v -> v
+  | exception Memory.Fault f -> crash st (Memory.fault_to_crash_kind f)
 
 (* Load with array decay: an array-typed location evaluates to a pointer. *)
 and load_loc st (l : loc_cell) : Value.t =
@@ -328,9 +332,9 @@ and load_loc st (l : loc_cell) : Value.t =
   | Types.Tvoid | Types.Tint | Types.Tptr _ -> load_raw st l
 
 let store_loc st (l : loc_cell) v =
-  match Memory.store st.mem ~base:l.base ~off:l.off v with
-  | Ok () -> ()
-  | Error f -> crash st (Memory.fault_to_crash_kind f)
+  match Memory.set st.mem ~base:l.base ~off:l.off v with
+  | () -> ()
+  | exception Memory.Fault f -> crash st (Memory.fault_to_crash_kind f)
 
 (* Read a NUL-terminated concrete string at [v]. *)
 let read_cstring st (v : Value.t) : string =
@@ -342,9 +346,9 @@ let read_cstring st (v : Value.t) : string =
       let rec go off n =
         if n > cstring_scan_limit then crash st Crash.Out_of_bounds
         else
-          match Memory.load st.mem ~base:p.base ~off with
-          | Error f -> crash st (Memory.fault_to_crash_kind f)
-          | Ok cell -> (
+          match Memory.get st.mem ~base:p.base ~off with
+          | exception Memory.Fault f -> crash st (Memory.fault_to_crash_kind f)
+          | cell -> (
               match cell.conc with
               | Int 0 -> ()
               | Int c ->
@@ -462,8 +466,8 @@ let builtin_call st name (args : Value.t list) : Value.t =
           list_globals =
             (fun () ->
               Hashtbl.fold
-                (fun name b acc ->
-                  match Memory.size st.mem b with
+                (fun name (g : loc_cell) acc ->
+                  match Memory.size st.mem g.base with
                   | Some n -> (name, n) :: acc
                   | None -> acc)
                 st.globals []);
@@ -471,18 +475,18 @@ let builtin_call st name (args : Value.t list) : Value.t =
             (fun name off ->
               match Hashtbl.find_opt st.globals name with
               | None -> None
-              | Some b -> (
-                  match Memory.load st.mem ~base:b ~off with
-                  | Ok v -> Some v
-                  | Error _ -> None));
+              | Some g -> (
+                  match Memory.get st.mem ~base:g.base ~off with
+                  | v -> Some v
+                  | exception Memory.Fault _ -> None));
           write_global =
             (fun name off v ->
               match Hashtbl.find_opt st.globals name with
               | None -> false
-              | Some b -> (
-                  match Memory.store st.mem ~base:b ~off v with
-                  | Ok () -> true
-                  | Error _ -> false));
+              | Some g -> (
+                  match Memory.set st.mem ~base:g.base ~off v with
+                  | () -> true
+                  | exception Memory.Fault _ -> false));
         }
       in
       st.hooks.on_checkpoint access;
@@ -500,6 +504,36 @@ let builtin_call st name (args : Value.t list) : Value.t =
   | _ ->
       invalid_arg
         (Printf.sprintf "builtin %s: bad arity %d" name (List.length args))
+
+(* ------------------------------------------------------------------ *)
+(* Frames *)
+
+let cells_of = function
+  | Types.Tarr (_, n) -> n
+  | Types.Tvoid | Types.Tint | Types.Tptr _ -> 1
+
+let layout_of (fn : Ast.func) =
+  let vars =
+    fn.fparams @ List.map (fun (d : Ast.var_decl) -> (d.vname, d.vtyp)) fn.flocals
+  in
+  let slots = Hashtbl.create 16 in
+  List.iteri (fun i (name, _) -> Hashtbl.replace slots name i) vars;
+  { slots; types = Array.of_list (List.map snd vars); nparams = List.length fn.fparams }
+
+let callee st fname =
+  match Hashtbl.find_opt st.callees fname with
+  | Some c -> c
+  | None ->
+      let c =
+        (* builtins take priority over user functions of the same name *)
+        if Minic.Builtin.is_builtin fname then Builtin
+        else
+          match Program.find_func st.prog fname with
+          | None -> invalid_arg ("call to unknown function " ^ fname)
+          | Some fn -> User (fn, layout_of fn)
+      in
+      Hashtbl.replace st.callees fname c;
+      c
 
 (* ------------------------------------------------------------------ *)
 (* Statements *)
@@ -551,60 +585,39 @@ and exec_block st (b : Ast.block) = List.iter (exec_stmt st) b
 
 and call st fname (args : Value.t list) : Value.t =
   Cost.charge st.cost Cost.call_overhead;
-  if Minic.Builtin.is_builtin fname then builtin_call st fname args
-  else
-    match Program.find_func st.prog fname with
-    | None -> invalid_arg ("call to unknown function " ^ fname)
-    | Some fn ->
-        st.depth <- st.depth + 1;
-        if st.depth > max_depth then crash st Crash.Stack_overflow;
-        let frame =
-          {
-            fn;
-            var_blocks = Hashtbl.create 16;
-            var_types = Hashtbl.create 16;
-            owned = [];
-          }
-        in
-        let alloc_var name ty init =
-          let size = match ty with Types.Tarr (_, n) -> n | _ -> 1 in
-          let b = Memory.alloc st.mem ~name:(fname ^ "." ^ name) ~size in
-          frame.owned <- b :: frame.owned;
-          Hashtbl.replace frame.var_blocks name b;
-          Hashtbl.replace frame.var_types name ty;
-          match init with
-          | Some v -> (
-              match Memory.store st.mem ~base:b ~off:0 v with
-              | Ok () -> ()
-              | Error _ -> assert false)
-          | None -> ()
-        in
-        if List.length args <> List.length fn.fparams then
-          invalid_arg (Printf.sprintf "arity mismatch calling %s" fname);
-        List.iter2 (fun (pname, pty) v -> alloc_var pname pty (Some v)) fn.fparams args;
-        List.iter
-          (fun (d : Ast.var_decl) -> alloc_var d.vname d.vtyp None)
-          fn.flocals;
-        let saved_func = st.cur_func in
-        st.frames <- frame :: st.frames;
-        st.cur_func <- fname;
-        let cleanup () =
-          st.frames <- (match st.frames with _ :: r -> r | [] -> []);
-          List.iter (Memory.kill st.mem) frame.owned;
-          st.depth <- st.depth - 1;
-          st.cur_func <- saved_func
-        in
-        (try
-           exec_block st fn.fbody;
-           cleanup ();
-           Value.zero
-         with
-        | Return_exc v ->
-            cleanup ();
-            v
-        | e ->
-            cleanup ();
-            raise e)
+  match callee st fname with
+  | Builtin -> builtin_call st fname args
+  | User (fn, layout) ->
+      st.depth <- st.depth + 1;
+      if st.depth > max_depth then crash st Crash.Stack_overflow;
+      if List.length args <> layout.nparams then
+        invalid_arg (Printf.sprintf "arity mismatch calling %s" fname);
+      (* blocks are allocated in slot order: parameters, then locals *)
+      let blocks =
+        Array.map (fun ty -> Memory.alloc st.mem ~size:(cells_of ty)) layout.types
+      in
+      List.iteri (fun i v -> Memory.set st.mem ~base:blocks.(i) ~off:0 v) args;
+      let frame = { fn; layout; blocks } in
+      let saved_func = st.cur_func in
+      st.frames <- frame :: st.frames;
+      st.cur_func <- fname;
+      let cleanup () =
+        st.frames <- (match st.frames with _ :: r -> r | [] -> []);
+        Array.iter (Memory.kill st.mem) frame.blocks;
+        st.depth <- st.depth - 1;
+        st.cur_func <- saved_func
+      in
+      (try
+         exec_block st fn.fbody;
+         cleanup ();
+         Value.zero
+       with
+      | Return_exc v ->
+          cleanup ();
+          v
+      | e ->
+          cleanup ();
+          raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Program entry *)
@@ -641,13 +654,12 @@ type result = {
 let init_state prog (cfg : config) : state =
   let mem = Memory.create () in
   let globals = Hashtbl.create 32 in
-  let global_types = Hashtbl.create 32 in
   let st =
     {
       prog;
       mem;
       globals;
-      global_types;
+      callees = Hashtbl.create 32;
       string_lits = Hashtbl.create 32;
       inputs = cfg.inputs;
       kernel = cfg.kernel;
@@ -664,18 +676,15 @@ let init_state prog (cfg : config) : state =
   in
   List.iter
     (fun (d : Ast.var_decl) ->
-      let size = match d.vtyp with Types.Tarr (_, n) -> n | _ -> 1 in
-      let b = Memory.alloc mem ~name:d.vname ~size in
-      Hashtbl.replace globals d.vname b;
-      Hashtbl.replace global_types d.vname d.vtyp;
+      let b = Memory.alloc mem ~size:(cells_of d.vtyp) in
+      Hashtbl.replace globals d.vname { base = b; off = 0; ty = d.vtyp };
+      (* a zero-length array drops its initialiser *)
+      let init v = try Memory.set mem ~base:b ~off:0 v with Memory.Fault _ -> () in
       match d.vinit with
       | None -> ()
-      | Some (Ast.Cint n) -> ignore (Memory.store mem ~base:b ~off:0 (Value.int_ n))
-      | Some (Ast.Unop (Ast.Neg, Ast.Cint n)) ->
-          ignore (Memory.store mem ~base:b ~off:0 (Value.int_ (-n)))
-      | Some (Ast.Cstr s) ->
-          let v = intern_string st s in
-          ignore (Memory.store mem ~base:b ~off:0 v)
+      | Some (Ast.Cint n) -> init (Value.int_ n)
+      | Some (Ast.Unop (Ast.Neg, Ast.Cint n)) -> init (Value.int_ (-n))
+      | Some (Ast.Cstr s) -> init (intern_string st s)
       | Some _ -> invalid_arg ("unsupported global initialiser for " ^ d.vname))
     prog.globals;
   st

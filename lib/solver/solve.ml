@@ -37,8 +37,6 @@ let bump f =
   f stats;
   Mutex.unlock stats_mu
 
-let debug_unknown = ref false
-
 let reset_stats () =
   bump (fun s ->
       s.calls <- 0;
@@ -494,16 +492,6 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
               Unsat
             end
             else begin
-              if !debug_unknown then begin
-                Printf.eprintf "UNKNOWN(search done, incomplete): nvars=%d nodes=%d ncs=%d\n"
-                  nvars !nodes (List.length cs);
-                List.iter (fun v ->
-                  let d = dom_of v in
-                  if Interval.size d > budget.max_enum then
-                    Printf.eprintf "  sampled var v%d dom=%s (%s)\n" v
-                      (Format.asprintf "%a" Interval.pp d) (Symvars.name vars v))
-                  var_ids
-              end;
               bump (fun s -> s.unknown <- s.unknown + 1; s.nodes <- s.nodes + !nodes);
               Unknown
             end
@@ -511,13 +499,6 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
             bump (fun s -> s.sat <- s.sat + 1; s.nodes <- s.nodes + !nodes);
             Sat m
         | exception Exit ->
-            if !debug_unknown then begin
-              Printf.eprintf "UNKNOWN(node budget): nvars=%d nodes=%d ncs=%d\n" nvars
-                !nodes (List.length cs);
-              let oc = open_out "/tmp/unknown_cs.txt" in
-              List.iter (fun c -> output_string oc (Expr.to_string c ^ "\n")) cs;
-              close_out oc
-            end;
             bump (fun s -> s.unknown <- s.unknown + 1; s.nodes <- s.nodes + !nodes);
             Unknown
       end

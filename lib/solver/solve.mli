@@ -28,9 +28,6 @@ val stats : stats
 
 val reset_stats : unit -> unit
 
-(** Print a diagnostic to stderr whenever a solve returns [Unknown]. *)
-val debug_unknown : bool ref
-
 (** One interval-narrowing step for a single constraint, parameterized over
     domain read/write — shared with {!Scope}'s incremental propagation.
     [narrow dom_of set_dom c] tightens the domains of variables of [c] so

@@ -86,12 +86,6 @@ let analyze ?(analyze_lib = true) ?(refine = true)
     Taint.widened_loops taint
     + match constprop with Some cp -> cp.Constprop.widened_loops | None -> 0
   in
-  if widened_loops > 0 then
-    Printf.eprintf
-      "static: warning: %d loop fixpoint(s) finished by widening (precision \
-       may be reduced)\n\
-       %!"
-      widened_loops;
   let r =
     {
       labels;

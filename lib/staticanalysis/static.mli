@@ -17,7 +17,9 @@ type result = {
   provenance : Provenance.t;  (** witness chains for symbolic labels *)
   n_const_proved : int;  (** branches labelled Concrete via constancy *)
   n_dead_proved : int;  (** branches labelled Concrete via deadness *)
-  widened_loops : int;  (** loop fixpoints finished by widening *)
+  widened_loops : int;
+      (** loop fixpoints finished by widening; [analyze] prints nothing,
+          callers that want a warning report this count *)
 }
 
 (** Analyze [prog].  [analyze_lib = false] reproduces the paper's uServer

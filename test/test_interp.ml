@@ -298,11 +298,11 @@ let test_abort_hook () =
 (* Frames and memory: the cases a per-function layout could get wrong *)
 
 let test_local_shadows_global () =
-  check_int "local read, global untouched" 75
+  check_int "local read and written, global untouched" 85
     (exit_code
        (run
           "int x = 5;\n\
-           int f() { int x = 7; x = x + 0; return x; }\n\
+           int f() { int x = 7; x = x + 1; return x; }\n\
            int g() { return x; }\n\
            int main() { int a = f(); return a * 10 + g(); }"))
 
@@ -329,13 +329,7 @@ let test_dangling_after_reentry () =
      int h(int first) { int x = 42; if (first) { saved = &x; return 0; } return *saved; }\n\
      int main() { h(1); return h(0); }"
   in
-  check_bool "uaf on re-entry" true (crash_kind (run src) = Interp.Crash.Use_after_free);
-  let src2 =
-    "int *leak(int v) { int x = v; return &x; }\n\
-     int main() { int *p = leak(1); int *q = leak(2); return *p; }"
-  in
-  check_bool "uaf after second call" true
-    (crash_kind (run src2) = Interp.Crash.Use_after_free)
+  check_bool "uaf on re-entry" true (crash_kind (run src) = Interp.Crash.Use_after_free)
 
 (* A pointer with an arbitrary block id, planted in global [p] through the
    checkpoint interface, then dereferenced. *)
@@ -365,6 +359,65 @@ let test_forged_pointers () =
   check "base past the last block" Interp.Crash.Invalid_pointer ~base:9999 ~off:0;
   check "live block, bad offset" Interp.Crash.Out_of_bounds ~base:1 ~off:5;
   check "live block, negative offset" Interp.Crash.Out_of_bounds ~base:1 ~off:(-1)
+
+let test_block_id_order () =
+  (* ids follow allocation order: globals at start-up, each call's
+     parameters then locals, a string literal when first evaluated *)
+  let seen = ref [] in
+  let hooks =
+    {
+      Interp.Eval.no_hooks with
+      on_checkpoint =
+        (fun access ->
+          seen :=
+            List.map
+              (fun g ->
+                match access.read_global g 0 with
+                | Some v -> Interp.Value.to_string v
+                | None -> "-")
+              [ "p"; "q"; "s" ]);
+    }
+  in
+  let src =
+    "int *p; int *q; int *s;\n\
+     int f(int a) { int b; p = &a; q = &b; s = \"x\"; checkpoint(); return 0; }\n\
+     int main() { int m; m = f(1); return m; }"
+  in
+  check_int "exit" 0 (exit_code (run ~hooks src));
+  Alcotest.(check (list string)) "block ids" [ "&5[0]"; "&6[0]"; "&7[0]" ] !seen
+
+let test_block_store () =
+  let module M = Interp.Memory in
+  let m = M.create () in
+  let fault f =
+    match f () with
+    | _ -> "none"
+    | exception M.Fault M.Oob -> "oob"
+    | exception M.Fault M.Dead_block -> "dead"
+    | exception M.Fault M.Unknown_block -> "unknown"
+  in
+  let ids = List.init 600 (fun i -> M.alloc m ~size:(i mod 3)) in
+  check_bool "ids count up from 1, past the initial capacity" true
+    (ids = List.init 600 (fun i -> i + 1));
+  (* block [i] has [(i - 1) mod 3] cells *)
+  M.set m ~base:600 ~off:1 (Interp.Value.int_ 7);
+  check_bool "cell survives growth" true (M.get m ~base:600 ~off:1 = Interp.Value.int_ 7);
+  check_bool "fresh cells are zero" true (M.get m ~base:600 ~off:0 = Interp.Value.zero);
+  check_str "empty block" "oob" (fault (fun () -> M.get m ~base:1 ~off:0));
+  check_str "offset = size" "oob" (fault (fun () -> M.get m ~base:2 ~off:1));
+  check_str "negative offset" "oob"
+    (fault (fun () -> M.set m ~base:2 ~off:(-1) Interp.Value.one));
+  check_str "base 0" "dead" (fault (fun () -> M.get m ~base:0 ~off:0));
+  check_str "negative base" "dead" (fault (fun () -> M.get m ~base:(-1) ~off:0));
+  check_str "next id" "unknown" (fault (fun () -> M.get m ~base:601 ~off:0));
+  M.kill m 1;
+  M.kill m 2;
+  check_str "killed" "dead" (fault (fun () -> M.get m ~base:2 ~off:0));
+  check_str "killed, written" "dead"
+    (fault (fun () -> M.set m ~base:2 ~off:0 Interp.Value.one));
+  check_str "killed empty block" "dead" (fault (fun () -> M.get m ~base:1 ~off:0));
+  check_bool "size of a dead block" true (M.size m 2 = None);
+  check_int "ids are not reused" 601 (M.alloc m ~size:1)
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence golden
@@ -581,6 +634,9 @@ let () =
           Alcotest.test_case "dangling pointer after re-entry" `Quick
             test_dangling_after_reentry;
           Alcotest.test_case "forged pointers" `Quick test_forged_pointers;
+          Alcotest.test_case "block ids follow allocation order" `Quick
+            test_block_id_order;
+          Alcotest.test_case "block store" `Quick test_block_store;
         ] );
       ( "golden",
         [ Alcotest.test_case "evaluator equivalence" `Quick test_equivalence_golden ] );
