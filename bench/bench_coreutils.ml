@@ -1,6 +1,8 @@
 (* E3/E4/E5 — the §5.2 coreutils experiments: Figure 1 (branch behaviour of
    mkdir), Figure 2 (instrumentation CPU time), Table 1 (replay times). *)
 
+module Config = Bugrepro.Pipeline.Config
+
 let analysis_cache : (string, Bugrepro.Pipeline.analysis) Hashtbl.t = Hashtbl.create 8
 
 let analysis (c : Ctx.t) (e : Workloads.Coreutils.entry) =
@@ -77,7 +79,9 @@ let e4 (c : Ctx.t) =
   let sc = Workloads.Coreutils.benign_scenario e in
   let baseline =
     (Instrument.Field_run.run
-       ~plan:(Bugrepro.Pipeline.plan a Instrument.Methods.No_instrumentation)
+       ~plan:
+         (Bugrepro.Pipeline.Run.plan Config.default a
+            Instrument.Methods.No_instrumentation)
        sc)
       .cost
       .instr
@@ -85,7 +89,7 @@ let e4 (c : Ctx.t) =
   let rows =
     List.map
       (fun meth ->
-        let plan = Bugrepro.Pipeline.plan a meth in
+        let plan = Bugrepro.Pipeline.Run.plan Config.default a meth in
         let r = Instrument.Field_run.run ~plan sc in
         [
           Instrument.Methods.to_string meth;
@@ -98,7 +102,9 @@ let e4 (c : Ctx.t) =
   in
   Util.table ([ "config"; "instrumented"; "cpu time"; "" ] :: rows);
   Util.elision_curve ~experiment:"E4" ~prog:(Lazy.force e.prog)
-    ~plan:(Bugrepro.Pipeline.plan a Instrument.Methods.Dynamic_static)
+    ~plan:
+      (Bugrepro.Pipeline.Run.plan Config.default a
+         Instrument.Methods.Dynamic_static)
     sc;
   print_endline
     "expected shape: dynamic / dynamic+static / static nearly identical\n\
@@ -155,15 +161,20 @@ let e5 (c : Ctx.t) =
             ~nbranches:(Minic.Program.nbranches prog)
             Instrument.Methods.No_instrumentation
         in
-        let _, report = Bugrepro.Pipeline.field_run_report ~plan:none crash_sc in
+        let _, report =
+          Bugrepro.Pipeline.Run.field_run_report Config.default ~plan:none
+            crash_sc
+        in
         match report with
         | None -> [ e.util; "no crash" ]
         | Some report ->
             let result, _ =
-              Bugrepro.Pipeline.reproduce
-                ~budget:{ (Ctx.replay_budget c) with max_time_s = 3.0 *. c.replay_time_s }
-                ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog ~plan:none
-                report
+              Bugrepro.Pipeline.Run.reproduce
+                (Ctx.replay_config c
+                   ~budget:
+                     { (Ctx.replay_budget c) with
+                       max_time_s = 3.0 *. c.replay_time_s })
+                ~prog ~plan:none report
             in
             [ e.util; Util.verdict_string (Util.replay_verdict result) ])
       Workloads.Coreutils.catalog

@@ -1,6 +1,9 @@
 (* E12/E13/E14 — the §5.4 diff experiments: Figure 5 (CPU time), Table 6
    (replay times), Table 7 (symbolic branches logged / not logged). *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let experiments () =
   [ (1, Workloads.Diffutil.experiment_1 ()); (2, Workloads.Diffutil.experiment_2 ()) ]
 
@@ -106,13 +109,12 @@ let e13_e14 (c : Ctx.t) =
         let cells =
           List.map
             (fun (name, plan) ->
-              let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+              let _, report = Run.field_run_report Config.default ~plan crash_sc in
               match report with
               | None -> "no crash"
               | Some report ->
                   let result, _ =
-                    Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                      ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
+                    Run.reproduce (Ctx.replay_config c) ~prog:p ~plan
                       report
                   in
                   let stats =

@@ -11,6 +11,9 @@
    A6: multithreading (§6) — a check-then-act race whose crash depends on
    the interleaving; replay with the recorded thread schedule vs without. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let a3 (c : Ctx.t) =
   Util.section ~id:"A3" ~paper:"§6 (long-running applications)"
     "Checkpointing: log truncation and replay-from-checkpoint";
@@ -169,7 +172,7 @@ let a6 (c : Ctx.t) =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   match report with
   | None -> print_endline "the race did not fire under the field scheduler"
   | Some report ->
@@ -180,8 +183,7 @@ let a6 (c : Ctx.t) =
       in
       let replay rep =
         let result, stats =
-          Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c) ~jobs:c.jobs
-            ~solver_cache:c.solver_cache ~prog ~plan rep
+          Run.reproduce (Ctx.replay_config c) ~prog ~plan rep
         in
         ( Util.verdict_string (Util.replay_verdict result),
           stats.engine.runs )

@@ -7,6 +7,9 @@
    E2: Listing 1 (fibonacci): the analysis-based methods instrument only
    the two symbolic option branches and show no noticeable overhead. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let field ~plan sc = Instrument.Field_run.run ~plan sc
 
 let plan_of_nbranches n meth = Instrument.Plan.make ~nbranches:n meth
@@ -69,8 +72,10 @@ let e2 (c : Ctx.t) =
   let sc = Workloads.Microbench.fibonacci ~option:"a" () in
   let prog = sc.prog in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 30; max_time_s = 10.0 }
+    Run.analyze
+      (Config.with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 30; max_time_s = 10.0 }
+         Config.default)
       ~test_scenario:sc prog
   in
   let baseline =
@@ -86,7 +91,7 @@ let e2 (c : Ctx.t) =
   let rows =
     List.map
       (fun meth ->
-        let plan = Bugrepro.Pipeline.plan analysis meth in
+        let plan = Run.plan Config.default analysis meth in
         let r = Instrument.Field_run.run ~plan sc in
         [
           Instrument.Methods.to_string meth;

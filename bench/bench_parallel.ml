@@ -17,6 +17,8 @@
       single-core host any win here comes from learning, not
       parallelism. *)
 
+module Config = Bugrepro.Pipeline.Config
+
 let sprintf = Printf.sprintf
 
 type case = {
@@ -39,7 +41,7 @@ let coreutils_case (c : Ctx.t) util =
       Instrument.Methods.No_instrumentation
   in
   let _, report =
-    Bugrepro.Pipeline.field_run_report ~plan:none
+    Bugrepro.Pipeline.Run.field_run_report Config.default ~plan:none
       (Workloads.Coreutils.crash_scenario e)
   in
   Option.map
@@ -68,7 +70,7 @@ let userver_case (c : Ctx.t) =
   let sc =
     Workloads.Userver.experiment_scenario (Workloads.Userver.experiment 1)
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report Config.default ~plan sc in
   Option.map
     (fun report ->
       { cname = "userver exp 1 (static)"; prog; plan; report;

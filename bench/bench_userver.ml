@@ -4,6 +4,9 @@
    Table 4 (symbolic branches logged / not logged), Tables 5 and 8 (no
    system-call logging), plus two ablations. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let prog () = Lazy.force Workloads.Userver.prog
 
 (* pre-deployment analyses, cached: dynamic at two coverage budgets (the
@@ -231,13 +234,12 @@ let e9_e10 (c : Ctx.t) =
         let cells =
           List.map
             (fun (name, plan) ->
-              let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+              let _, report = Run.field_run_report Config.default ~plan crash_sc in
               match report with
               | None -> "no crash"
               | Some report ->
                   let result, _ =
-                    Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                      ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
+                    Run.reproduce (Ctx.replay_config c) ~prog:p ~plan
                       report
                   in
                   let stats =
@@ -288,14 +290,15 @@ let e11 (c : Ctx.t) =
         List.filter_map
           (fun (name, plan) ->
             let _, report =
-              Bugrepro.Pipeline.field_run_report ~log_syscalls:false ~plan crash_sc
+              Run.field_run_report
+                (Config.with_log_syscalls false Config.default)
+                ~plan crash_sc
             in
             match report with
             | None -> None
             | Some report ->
                 let result, stats =
-                  Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                    ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
+                  Run.reproduce (Ctx.replay_config c) ~prog:p ~plan
                     report
                 in
                 (* Table 8: without a syscall log, branches on syscall
@@ -374,14 +377,13 @@ let a2 (c : Ctx.t) =
           Instrument.Plan.make ~nbranches:n ~dynamic:d.labels
             ~static:static.labels Instrument.Methods.Dynamic_static
         in
-        let _, report = Bugrepro.Pipeline.field_run_report ~plan exp1 in
+        let _, report = Run.field_run_report Config.default ~plan exp1 in
         let verdict =
           match report with
           | None -> "no crash"
           | Some report ->
               let result, _ =
-                Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c) ~jobs:c.jobs
-                  ~solver_cache:c.solver_cache ~prog:p ~plan report
+                Run.reproduce (Ctx.replay_config c) ~prog:p ~plan report
               in
               Util.verdict_string (Util.replay_verdict result)
         in

@@ -16,7 +16,6 @@ type t = {
   jobs : int;  (* worker domains for exploration/replay; 1 = sequential *)
   solver_cache : bool;  (* memoizing solver cache on replay solves *)
   incremental : bool;  (* scoped incremental solver (cores + portfolio) *)
-  steal : bool;  (* work-stealing sharded frontier at jobs > 1 *)
   telemetry : Telemetry.t;
       (* handle for the --trace artifact; Telemetry.disabled (every probe a
          no-op) unless the driver installed a sink *)
@@ -36,7 +35,6 @@ let default =
     jobs = 1;
     solver_cache = true;
     incremental = true;
-    steal = true;
     telemetry = Telemetry.disabled;
   }
 
@@ -69,6 +67,15 @@ let replay_budget t =
 
 let wants t id = t.only = [] || List.mem id t.only
 
+(* [Config.default] with this context's replay budget (or [budget]), jobs
+   and solver cache: the replay set-up of the paper-table experiments. *)
+let replay_config ?budget (c : t) =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget ~replay:(Option.value budget ~default:(replay_budget c))
+    |> with_jobs c.jobs
+    |> with_solver_cache c.solver_cache)
+
 (* This context as a pipeline configuration (HC analysis budget), for
    experiments that drive the Pipeline.Run API. *)
 let pipeline_config (c : t) =
@@ -78,5 +85,4 @@ let pipeline_config (c : t) =
     |> with_jobs c.jobs
     |> with_solver_cache c.solver_cache
     |> with_incremental c.incremental
-    |> with_steal c.steal
     |> with_telemetry c.telemetry)

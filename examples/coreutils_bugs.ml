@@ -3,6 +3,9 @@
 
    Run with:  dune exec examples/coreutils_bugs.exe *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let () =
   List.iter
     (fun (e : Workloads.Coreutils.entry) ->
@@ -11,8 +14,10 @@ let () =
       (* the developer's analysis uses a generic argv shape, not the
          (unknown) crashing input *)
       let analysis =
-        Bugrepro.Pipeline.analyze
-          ~dynamic_budget:{ Concolic.Engine.max_runs = 120; max_time_s = 10.0 }
+        Run.analyze
+          (Config.with_budget
+             ~dynamic:{ Concolic.Engine.max_runs = 120; max_time_s = 10.0 }
+             Config.default)
           ~test_scenario:(Workloads.Coreutils.analysis_scenario e)
           prog
       in
@@ -21,15 +26,17 @@ let () =
         (String.concat " " e.crashing_args);
       List.iter
         (fun meth ->
-          let plan = Bugrepro.Pipeline.plan analysis meth in
-          let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+          let plan = Run.plan Config.default analysis meth in
+          let _, report = Run.field_run_report Config.default ~plan crash_sc in
           match report with
           | None -> Printf.printf "  %-16s field run did not crash?!\n"
                       (Instrument.Methods.to_string meth)
           | Some report ->
               let result, _ =
-                Bugrepro.Pipeline.reproduce
-                  ~budget:{ Concolic.Engine.max_runs = 5000; max_time_s = 15.0 }
+                Run.reproduce
+                  (Config.with_budget
+                     ~replay:{ Concolic.Engine.max_runs = 5000; max_time_s = 15.0 }
+                     Config.default)
                   ~prog ~plan report
               in
               let verdict =

@@ -7,6 +7,9 @@
    input and then exhaustively checks that the secret's bytes appear nowhere
    in the shipped report — while replay still reproduces the crash. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let secret = "swordfish-1234"
 
 let source =
@@ -39,7 +42,7 @@ let () =
       Instrument.Methods.All_branches
   in
   let sc = Concolic.Scenario.make ~name:"vault" ~args:[ secret ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   let report = Option.get report in
 
   Printf.printf "user input (never shipped): %S\n" secret;
@@ -62,8 +65,10 @@ let () =
 
   (* the developer can still reproduce the crash *)
   let result, stats =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 3000; max_time_s = 15.0 }
+    Run.reproduce
+      (Config.with_budget
+         ~replay:{ Concolic.Engine.max_runs = 3000; max_time_s = 15.0 }
+         Config.default)
       ~prog ~plan report
   in
   match result with

@@ -7,6 +7,9 @@
    before shipping; the "user" hits the bug; the developer reproduces it
    from the shipped bit log — without ever seeing the user's input. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let source =
   {|
 int check(int *password) {
@@ -46,8 +49,10 @@ let () =
     Concolic.Scenario.make ~name:"quickstart-test" ~args:[ "hello" ] prog
   in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 50; max_time_s = 5.0 }
+    Run.analyze
+      (Config.with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 50; max_time_s = 5.0 }
+         Config.default)
       ~test_scenario prog
   in
   (match analysis.dynamic with
@@ -57,7 +62,7 @@ let () =
   | None -> ());
 
   print_endline "\n== 2. developer: choose a method and instrument ==";
-  let plan = Bugrepro.Pipeline.plan analysis Instrument.Methods.Dynamic_static in
+  let plan = Run.plan Config.default analysis Instrument.Methods.Dynamic_static in
   Printf.printf "dynamic+static instruments %d of %d branch locations\n"
     plan.n_instrumented
     (Minic.Program.nbranches prog);
@@ -66,7 +71,7 @@ let () =
   let user_scenario =
     Concolic.Scenario.make ~name:"quickstart" ~args:[ "ocaml" ] prog
   in
-  let field, report = Bugrepro.Pipeline.field_run_report ~plan user_scenario in
+  let field, report = Run.field_run_report Config.default ~plan user_scenario in
   Printf.printf "user run: %s\n" (Interp.Crash.outcome_to_string field.outcome);
   let report = Option.get report in
   Printf.printf "bug report shipped to the developer: %s\n"
@@ -76,8 +81,10 @@ let () =
 
   print_endline "\n== 4. developer: reproduce the bug from the report ==";
   let result, stats =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 10.0 }
+    Run.reproduce
+      (Config.with_budget
+         ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 10.0 }
+         Config.default)
       ~prog ~plan report
   in
   (match result with

@@ -8,6 +8,9 @@
    reproduces the crash immediately; replay without it shows why the paper
    says thread ordering must be recorded. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let () =
   let sc = Workloads.Mtrace.scenario ~seed:3 () in
   let prog = sc.prog in
@@ -22,7 +25,7 @@ let () =
   in
 
   print_endline "\n-- production run (pseudo-random scheduler) --";
-  let field, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let field, report = Run.field_run_report Config.default ~plan sc in
   Printf.printf "outcome: %s\n" (Interp.Crash.outcome_to_string field.outcome);
   let report = Option.get report in
   let sched =
@@ -38,7 +41,10 @@ let () =
   let budget = { Concolic.Engine.max_runs = 20_000; max_time_s = 15.0 } in
 
   print_endline "\n-- replay WITH the recorded schedule --";
-  (let result, _ = Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report in
+  (let result, _ =
+     Run.reproduce (Config.with_budget ~replay:budget Config.default) ~prog
+       ~plan report
+   in
    match result with
    | Replay.Guided.Reproduced r ->
        Printf.printf "reproduced in %.3fs after %d runs at %s\n" r.elapsed_s r.runs
@@ -48,8 +54,8 @@ let () =
   print_endline "\n-- replay WITHOUT the schedule (what a branch-only log gives you) --";
   let stripped = { report with Instrument.Report.schedule_log = None } in
   let result, _ =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ budget with max_time_s = 5.0 }
+    Run.reproduce
+      (Config.with_budget ~replay:{ budget with max_time_s = 5.0 } Config.default)
       ~prog ~plan stripped
   in
   match result with

@@ -8,6 +8,9 @@
    that log to synthesise a request that reaches the same crash — the
    request itself never left the user's machine. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let () =
   let prog = Lazy.force Workloads.Userver.prog in
   Printf.printf "µServer: %d branch locations (%d app, %d library)\n"
@@ -22,16 +25,20 @@ let () =
     Workloads.Userver.scenario ~name:"userver-test" (Workloads.Http_gen.workload 10)
   in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 120; max_time_s = 20.0 }
-      ~analyze_lib:false ~test_scenario:test_sc prog
+    Run.analyze
+      Config.(
+        default
+        |> with_budget
+             ~dynamic:{ Concolic.Engine.max_runs = 120; max_time_s = 20.0 }
+        |> with_analyze_lib false)
+      ~test_scenario:test_sc prog
   in
   (match analysis.dynamic, analysis.static with
   | Some d, Some s ->
       Printf.printf "dynamic: %.0f%% coverage after %d runs; static: %d symbolic\n"
         (100.0 *. d.coverage) d.runs s.n_symbolic
   | _ -> ());
-  let plan = Bugrepro.Pipeline.plan analysis Instrument.Methods.Dynamic_static in
+  let plan = Run.plan Config.default analysis Instrument.Methods.Dynamic_static in
   Printf.printf "shipping with dynamic+static: %d instrumented locations\n"
     plan.n_instrumented;
 
@@ -40,7 +47,7 @@ let () =
   let exp = Workloads.Userver.experiment 3 in
   Printf.printf "scenario: %s\n" exp.description;
   let crash_sc = Workloads.Userver.experiment_scenario exp in
-  let field, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+  let field, report = Run.field_run_report Config.default ~plan crash_sc in
   Printf.printf "server: %s\n" (Interp.Crash.outcome_to_string field.outcome);
   Printf.printf "access log before the crash:\n%s"
     (String.concat "\n"
@@ -51,8 +58,10 @@ let () =
   (* 3. developer site: guided replay *)
   print_endline "\n-- guided replay at the developer site --";
   let result, stats =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 20_000; max_time_s = 30.0 }
+    Run.reproduce
+      (Config.with_budget
+         ~replay:{ Concolic.Engine.max_runs = 20_000; max_time_s = 30.0 }
+         Config.default)
       ~prog ~plan report
   in
   (match result with

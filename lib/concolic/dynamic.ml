@@ -53,14 +53,26 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
   let r = Interp.Eval.run sc.prog cfg in
   { Engine.outcome = r.outcome; trace = Path.entries trace; observed = !observed }
 
+(** The sticky labelling rule as an [on_branch_observed] callback for
+    {!make_run}.  With [jobs] > 1 runs execute concurrently, and the
+    read-then-write of {!Label.observe} could let a [Concrete] overwrite a
+    [Symbolic] recorded in between, so updates are serialized through a
+    mutex; the rule commutes, so the resulting map does not depend on
+    worker scheduling. *)
+let label_observer ~jobs (labels : Label.map) : int -> bool -> unit =
+  if jobs <= 1 then fun bid symbolic -> Label.observe labels bid ~symbolic
+  else
+    let mu = Mutex.create () in
+    fun bid symbolic ->
+      Mutex.protect mu (fun () -> Label.observe labels bid ~symbolic)
+
 (** Run the analysis.  The budget plays the role of the paper's
     one-hour/two-hour symbolic execution cut-offs (LC vs HC).  [jobs] > 1
-    explores with a parallel worker pool; label updates are then serialized
-    through a mutex (the sticky rule commutes, so the resulting label map
-    does not depend on worker scheduling).  [cache] memoizes solver queries
-    across pendings.  [incremental] (default true) solves through a private
-    {!Solver.Incr.t} — scope reuse, learned cores, portfolio; [steal]
-    (default true) picks the work-stealing frontier at [jobs] > 1. *)
+    explores with a parallel worker pool; label updates then go through
+    {!label_observer}.  [cache] memoizes solver queries across pendings.
+    [incremental] (default true) solves through a private {!Solver.Incr.t}
+    — scope reuse, learned cores, portfolio; [steal] (default true) gives
+    each worker its own deque (see {!Engine.explore}). *)
 let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
     ?(incremental = true) ?(steal = true) ?(telemetry = Telemetry.disabled)
     (sc : Scenario.t) : result =
@@ -70,15 +82,10 @@ let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
       let vars = Solver.Symvars.create () in
       let n = Program.nbranches sc.prog in
       let labels = Label.make ~nbranches:n Label.Unvisited in
-      let label_mu = Mutex.create () in
-      let on_branch_observed =
-        if jobs <= 1 then fun bid symbolic -> Label.observe labels bid ~symbolic
-        else fun bid symbolic ->
-          Mutex.lock label_mu;
-          Label.observe labels bid ~symbolic;
-          Mutex.unlock label_mu
+      let run =
+        make_run ?max_steps sc ~vars
+          ~on_branch_observed:(label_observer ~jobs labels)
       in
-      let run = make_run ?max_steps sc ~vars ~on_branch_observed in
       let incr = if incremental then Some (Solver.Incr.create ()) else None in
       let stats, _ =
         Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~jobs ?cache ?incr

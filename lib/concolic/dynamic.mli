@@ -27,6 +27,13 @@ val make_run :
   Solver.Model.t ->
   Engine.run_result
 
+(** The sticky labelling rule (§2.1) as an [on_branch_observed] callback
+    for {!make_run}, updating [labels] in place.  At [jobs] > 1 updates are
+    serialized through a mutex, so concurrent runs cannot overwrite a
+    [Symbolic] label with [Concrete]; the rule commutes, so the final map
+    does not depend on worker scheduling. *)
+val label_observer : jobs:int -> Minic.Label.map -> int -> bool -> unit
+
 (** Run the analysis.  The budget plays the role of the paper's
     one-hour/two-hour symbolic-execution cut-offs (LC vs HC).  [jobs] > 1
     explores with a parallel worker pool (the sticky labelling rule
@@ -34,9 +41,10 @@ val make_run :
     [cache] memoizes solver queries across pendings; [incremental] (default
     true) routes pendings through a private {!Solver.Incr.t} (scope reuse,
     learned-core pruning, strategy portfolio); [steal] (default true)
-    selects the work-stealing frontier at [jobs] > 1; [telemetry] wraps the
-    exploration in an [analyze.dynamic] span (runs/visited/coverage end
-    attributes) over the {!Engine.explore} instrumentation. *)
+    gives each worker its own deque, false shares one (see
+    {!Engine.explore}); [telemetry] wraps the exploration in an
+    [analyze.dynamic] span (runs/visited/coverage end attributes) over the
+    {!Engine.explore} instrumentation. *)
 val analyze :
   ?budget:Engine.budget ->
   ?max_steps:int ->

@@ -8,19 +8,22 @@
     The engine is generic over the run function, so dynamic analysis and
     bug replay share it.
 
-    With [~jobs] > 1 the pending frontier is drained by a pool of OCaml 5
-    domains (the run function must then be safe to call concurrently — each
-    call must build its own interpreter state).  [~jobs:1], the default, is
-    the exact deterministic sequential loop.  An optional shared
-    {!Solver.Cache} memoizes solver queries across pendings.
+    One loop drains the pending frontier with [~jobs] workers: worker 0 on
+    the calling domain, the others on OCaml 5 domains (the run function
+    must then be safe to call concurrently — each call must build its own
+    interpreter state).  [~jobs:1], the default, spawns no domain and
+    visits pendings in the exact deterministic sequential order.  An
+    optional shared {!Solver.Cache} memoizes solver queries across
+    pendings.
 
-    With [~steal] (default true) each worker owns a deque and steals from
-    its siblings when it drains: children of a run land on the worker's own
+    With [~steal] (default true) each worker owns a deque and, when it
+    drains, steals from its siblings, scanning them round-robin from its
+    right-hand neighbour: children of a run land on the worker's own
     deque, so local work extends its own recent traces — the lineage
     affinity that keeps the per-worker incremental solver scope warm.
-    [~steal:false] restores the single mutex-protected frontier.  Both
-    disciplines produce jobs-invariant result *sets* on exhausted
-    frontiers; visit order differs.
+    [~steal:false] gives all workers one shared deque.  Both produce
+    jobs-invariant result *sets* on exhausted frontiers; visit order
+    differs.
 
     Passing [~incr] (a shared {!Solver.Incr.t}) turns on incremental
     solving: learned-core pruning, scope reuse across sibling pendings and
@@ -81,20 +84,21 @@ val steal_total : unit -> int
 
 (** Explore paths until the budget is exhausted or [should_stop] returns
     true for a run.  Returns the statistics and, if stopped early, the
-    model and result of the stopping run.
+    model and result of the stopping run.  Every run, the first one
+    included, counts against [budget.max_runs], so [runs <= max_runs].
 
-    [jobs] (default 1) sets the number of worker domains; with several
+    [jobs] (default 1, at least 1) sets the number of workers; with several
     workers the {!strategy} order becomes a priority hint and [run] must
     tolerate concurrent calls.  [on_run] and [should_stop] are always
-    called with the engine's internal lock held, i.e. serialized, so they
+    called with the engine's callback lock held, i.e. serialized, so they
     may keep plain mutable state.  [cache] memoizes solver queries across
     pendings (and is shared by all workers).  [incr] enables incremental
     solving (each worker opens a private session); [steal] (default true)
-    selects the sharded work-stealing frontier when [jobs] > 1 and is
-    ignored at [jobs:1], which always runs the seed sequential loop.
+    gives each worker its own deque to push to and steal from, false makes
+    the workers share one.  At [jobs:1] both mean a single deque.
 
     [telemetry] (default disabled) wraps the exploration in an
-    [engine.explore] span with one [engine.worker] child span per domain,
+    [engine.explore] span with one [engine.worker] child span per worker,
     times runs ([engine.run_s]) and the solver split, samples the frontier
     depth over time ([engine.frontier]) and accumulates the
     [engine.runs]/[sat]/[unsat]/[unknown]/[forks] counters. *)

@@ -74,8 +74,7 @@ let explore ~(cfg : cfg) ~jobs ?cache (sc : Concolic.Scenario.t) : explo =
   let queries = ref [] and n_queries = ref 0 in
   let run =
     Concolic.Dynamic.make_run ~max_steps:cfg.max_steps sc ~vars
-      ~on_branch_observed:(fun bid sym ->
-        Minic.Label.observe labels bid ~symbolic:sym)
+      ~on_branch_observed:(Concolic.Dynamic.label_observer ~jobs labels)
   in
   let stats, _ =
     Concolic.Engine.explore ~vars ~budget ~strategy:Concolic.Engine.Bfs ~jobs
@@ -450,7 +449,9 @@ let salvage_check (cfg : cfg) (case : Gen.case) (plan : Instrument.Plan.t)
    be untouched.  When the run crashed, the suppressed report must
    round-trip its table across the wire, and guided replay from it must
    reach the same verdict — and, absent timeouts, the same §3.1 case
-   counters — as replay from the raw report. *)
+   counters — as replay from the raw report.  Both parity replays run on
+   one worker: with several, the counters depend on how the workers are
+   scheduled, not on the report. *)
 
 let suppression_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
     ~dynamic ~static : verdict =
@@ -526,12 +527,15 @@ let suppression_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
                          <> sup_report.Instrument.Report.suppression ->
                       Fail "suppression table changed across the wire"
                   | Ok _ -> (
+                      let config =
+                        Bugrepro.Pipeline.Config.with_jobs 1 cfg.config
+                      in
                       let raw_result, raw_stats =
-                        Bugrepro.Pipeline.Run.reproduce cfg.config ~prog ~plan
+                        Bugrepro.Pipeline.Run.reproduce config ~prog ~plan
                           raw_report
                       in
                       let sup_result, sup_stats =
-                        Bugrepro.Pipeline.Run.reproduce cfg.config ~prog
+                        Bugrepro.Pipeline.Run.reproduce config ~prog
                           ~plan:sup_plan sup_report
                       in
                       match raw_result, sup_result with

@@ -315,8 +315,8 @@ let run_once ?(restore : restore_fn option)
     external incremental solver (one per triage cluster), while
     [incremental] (default true) just enables a private one; learned cores
     are registry-scoped, so a restart's fresh registry drops them but keeps
-    the portfolio statistics.  [steal] (default true) picks the
-    work-stealing frontier when [jobs] > 1.  [max_attempts] caps the
+    the portfolio statistics.  [steal] (default true) gives each search
+    worker its own deque, false makes them share one.  [max_attempts] caps the
     restart count, after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)

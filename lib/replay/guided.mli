@@ -78,8 +78,9 @@ type restore_fn =
     strategy portfolio); [incr] supplies an external one instead — the
     triage scheduler opens one per cluster.  Learned cores are
     registry-scoped and reset on each restart's fresh registry; portfolio
-    statistics survive.  [steal] (default true) selects the work-stealing
-    frontier when [jobs] > 1.  [max_attempts] caps the
+    statistics survive.  [steal] (default true) gives each search worker its
+    own deque to steal from, false makes them share one (see
+    {!Concolic.Engine.explore}).  [max_attempts] caps the
     restart-with-a-fresh-seed loop; once hit, a clean frontier exhaustion
     returns [Not_reproduced] with [timed_out = false] (a [true] there
     always means the clock or the run budget ran out, never mere

@@ -37,7 +37,9 @@ type policy = {
   incremental : bool;
       (** open one {!Solver.Incr.t} per cluster, shared across its ladder
           rungs (scope reuse, core pruning, portfolio statistics) *)
-  steal : bool;  (** work-stealing frontier inside each replay (jobs > 1) *)
+  steal : bool;
+      (** inside each replay, one deque per search worker with stealing;
+          false = one shared deque (see {!Concolic.Engine.explore}) *)
   seed : int;  (** batch seed; per-cluster seeds derive from it *)
 }
 

@@ -120,6 +120,33 @@ let test_dynamic_coverage_monotone_in_budget () =
     (Minic.Label.count r2.labels Minic.Label.Symbolic
     >= Minic.Label.count r1.labels Minic.Label.Symbolic)
 
+let test_label_observer_concurrent () =
+  (* round [i]: one domain observes branch [i] concretely in a burst while
+     the other observes it symbolically once, at a varying point of the
+     burst.  The sticky rule must leave every label [Symbolic]: an
+     unserialized read-then-write lets a [Concrete] land after it. *)
+  let rounds = 2_000 in
+  let labels = Minic.Label.make ~nbranches:rounds Minic.Label.Unvisited in
+  let observe = Concolic.Dynamic.label_observer ~jobs:2 labels in
+  let started = Atomic.make (-1) and finished = Atomic.make (-1) in
+  let concrete =
+    Domain.spawn (fun () ->
+        for bid = 0 to rounds - 1 do
+          while Atomic.get started < bid do Domain.cpu_relax () done;
+          for _ = 1 to 32 do observe bid false done;
+          Atomic.set finished bid
+        done)
+  in
+  for bid = 0 to rounds - 1 do
+    Atomic.set started bid;
+    for _ = 1 to bid mod 32 do Domain.cpu_relax () done;
+    observe bid true;
+    while Atomic.get finished < bid do Domain.cpu_relax () done
+  done;
+  Domain.join concrete;
+  check_int "every label symbolic" rounds
+    (Minic.Label.count labels Minic.Label.Symbolic)
+
 (* ------------------------------------------------------------------ *)
 (* Engine behaviour *)
 
@@ -451,6 +478,284 @@ let test_parallel_respects_run_budget () =
   in
   check_bool "run budget exact under parallel pool" true (stats.runs <= 5)
 
+let test_run_budget_exact_everywhere () =
+  (* every run is reserved against [max_runs], the seeding run included,
+     whatever the worker count and frontier discipline *)
+  let sc = scenario ~args:[ "aaa" ] crash_corpus_src in
+  List.iter
+    (fun (max_runs, jobs, steal) ->
+      let vars = Solver.Symvars.create () in
+      let run =
+        Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ())
+      in
+      let stats, _ =
+        Concolic.Engine.explore ~vars ~budget:(budget max_runs) ~jobs ~steal
+          ~run ()
+      in
+      let tag = Printf.sprintf "max_runs=%d jobs=%d steal=%b" max_runs jobs steal in
+      check_bool (tag ^ " runs <= max_runs") true (stats.runs <= max_runs);
+      check_int (tag ^ " worker_runs sums to runs") stats.runs
+        (Array.fold_left ( + ) 0 stats.worker_runs))
+    (List.concat_map
+       (fun max_runs ->
+         List.concat_map
+           (fun jobs -> [ (max_runs, jobs, true); (max_runs, jobs, false) ])
+           [ 1; 4 ])
+       [ 0; 1; 5 ])
+
+(* ------------------------------------------------------------------ *)
+(* Engine golden
+
+   Single-worker explorations of the coreutils analysis and crash
+   scenarios (cut by the run budget) and of the crash corpus (drained, and
+   stopped at its first crash), under both strategies and three solver
+   set-ups (plain, cache, cache + incremental), fingerprinted: every run's
+   model bindings and outcome in visit order, digested, plus every [stats]
+   field but the wall clock.  The expected lines were captured before the
+   three exploration loops were folded into one; the [jobs:1] search order
+   must reproduce them exactly. *)
+
+let engine_fingerprint ?should_stop name sc strategy solver =
+  let vars = Solver.Symvars.create () in
+  let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
+  let log = Buffer.create 4096 in
+  let on_run model (r : Concolic.Engine.run_result) =
+    List.iter
+      (fun (id, v) -> Printf.bprintf log "%d=%d," id v)
+      (Solver.Model.bindings model);
+    Printf.bprintf log "%s;" (Interp.Crash.outcome_to_string r.outcome)
+  in
+  let cache = if solver = "plain" then None else Some (Solver.Cache.create ()) in
+  let incr = if solver = "incr" then Some (Solver.Incr.create ()) else None in
+  let s, _ =
+    Concolic.Engine.explore ~vars
+      ~budget:{ Concolic.Engine.max_runs = 150; max_time_s = 600.0 }
+      ~strategy ~jobs:1 ?cache ?incr ~run ?should_stop ~on_run ()
+  in
+  Printf.sprintf
+    "%s %s %s | runs %d sat %d unsat %d unknown %d peak %d forks %d \
+     pruned %d incremental %d calls %d steals %d workers %s timed_out %b | %s"
+    name
+    (match strategy with Concolic.Engine.Dfs -> "dfs" | Bfs -> "bfs")
+    solver s.runs s.sat s.unsat s.unknown s.pending_peak s.forks s.core_pruned
+    s.solved_incremental s.solver_calls s.steals
+    (String.concat "+" (Array.to_list (Array.map string_of_int s.worker_runs)))
+    s.timed_out
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let crashes _ (r : Concolic.Engine.run_result) =
+  match r.outcome with Interp.Crash.Crash _ -> true | _ -> false
+
+let engine_golden_runs () =
+  let corpus = scenario ~args:[ "aaa" ] crash_corpus_src in
+  let scenarios =
+    List.concat_map
+      (fun (e : Workloads.Coreutils.entry) ->
+        [
+          (e.util ^ "/analysis", None, Workloads.Coreutils.analysis_scenario e);
+          (e.util ^ "/crash", None, Workloads.Coreutils.crash_scenario e);
+        ])
+      Workloads.Coreutils.catalog
+    @ [ ("corpus/drain", None, corpus); ("corpus/stop", Some crashes, corpus) ]
+  in
+  List.concat_map
+    (fun (name, should_stop, sc) ->
+      List.concat_map
+        (fun strategy ->
+          List.map
+            (engine_fingerprint ?should_stop name sc strategy)
+            [ "plain"; "cache"; "incr" ])
+        [ Concolic.Engine.Dfs; Concolic.Engine.Bfs ])
+    scenarios
+
+let engine_golden_expected =
+  [
+    "mkdir/analysis dfs plain | runs 150 sat 149 unsat 84 unknown 0 peak 55 forks 272 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 4daa738febf1d355458a0e52b9ca2dec";
+    "mkdir/analysis dfs cache | runs 150 sat 149 unsat 84 unknown 0 peak 55 forks 272 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 4daa738febf1d355458a0e52b9ca2dec";
+    "mkdir/analysis dfs incr | runs 150 sat 149 unsat 84 unknown 0 peak 55 forks 272 \
+     pruned 63 incremental 166 calls 170 steals 0 workers 150 timed_out true \
+     | 4daa738febf1d355458a0e52b9ca2dec";
+    "mkdir/analysis bfs plain | runs 150 sat 149 unsat 47 unknown 0 peak 2446 forks 2642 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 4097cd09cef9deb629476054b27905e1";
+    "mkdir/analysis bfs cache | runs 150 sat 149 unsat 47 unknown 0 peak 2446 forks 2642 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 4097cd09cef9deb629476054b27905e1";
+    "mkdir/analysis bfs incr | runs 150 sat 149 unsat 47 unknown 0 peak 2446 forks 2642 \
+     pruned 35 incremental 158 calls 161 steals 0 workers 150 timed_out true \
+     | 4097cd09cef9deb629476054b27905e1";
+    "mkdir/crash dfs plain | runs 150 sat 149 unsat 54 unknown 0 peak 31 forks 229 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 315d8bc548e11854a77ae389527ef595";
+    "mkdir/crash dfs cache | runs 150 sat 149 unsat 54 unknown 0 peak 31 forks 229 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 315d8bc548e11854a77ae389527ef595";
+    "mkdir/crash dfs incr | runs 150 sat 149 unsat 54 unknown 0 peak 31 forks 229 \
+     pruned 33 incremental 165 calls 170 steals 0 workers 150 timed_out true \
+     | 315d8bc548e11854a77ae389527ef595";
+    "mkdir/crash bfs plain | runs 150 sat 149 unsat 79 unknown 0 peak 818 forks 1042 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 9fc0ae3075b7b47ac131eea146cb9fd8";
+    "mkdir/crash bfs cache | runs 150 sat 149 unsat 79 unknown 0 peak 818 forks 1042 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 9fc0ae3075b7b47ac131eea146cb9fd8";
+    "mkdir/crash bfs incr | runs 150 sat 149 unsat 79 unknown 0 peak 818 forks 1042 \
+     pruned 45 incremental 178 calls 183 steals 0 workers 150 timed_out true \
+     | 9fc0ae3075b7b47ac131eea146cb9fd8";
+    "mknod/analysis dfs plain | runs 150 sat 149 unsat 65 unknown 0 peak 30 forks 240 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | db25044ab98c0fc1f4f07aff54daaf05";
+    "mknod/analysis dfs cache | runs 150 sat 149 unsat 65 unknown 0 peak 30 forks 240 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | db25044ab98c0fc1f4f07aff54daaf05";
+    "mknod/analysis dfs incr | runs 150 sat 149 unsat 65 unknown 0 peak 30 forks 240 \
+     pruned 6 incremental 207 calls 208 steals 0 workers 150 timed_out true \
+     | db25044ab98c0fc1f4f07aff54daaf05";
+    "mknod/analysis bfs plain | runs 150 sat 149 unsat 2 unknown 0 peak 930 forks 1081 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 2e988dc18aeb687cad1bc3262cddf7b8";
+    "mknod/analysis bfs cache | runs 150 sat 149 unsat 2 unknown 0 peak 930 forks 1081 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 2e988dc18aeb687cad1bc3262cddf7b8";
+    "mknod/analysis bfs incr | runs 150 sat 149 unsat 2 unknown 0 peak 930 forks 1081 \
+     pruned 0 incremental 147 calls 151 steals 0 workers 150 timed_out true \
+     | 2e988dc18aeb687cad1bc3262cddf7b8";
+    "mknod/crash dfs plain | runs 150 sat 149 unsat 15 unknown 0 peak 30 forks 191 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 6a02275cfbd08737f6a89ee134dd8b30";
+    "mknod/crash dfs cache | runs 150 sat 149 unsat 15 unknown 0 peak 30 forks 191 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 6a02275cfbd08737f6a89ee134dd8b30";
+    "mknod/crash dfs incr | runs 150 sat 149 unsat 15 unknown 0 peak 30 forks 191 \
+     pruned 9 incremental 154 calls 155 steals 0 workers 150 timed_out true \
+     | 6a02275cfbd08737f6a89ee134dd8b30";
+    "mknod/crash bfs plain | runs 150 sat 149 unsat 13 unknown 0 peak 1211 forks 1372 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | d70d02e925156fc8b4a9328a6d75bb31";
+    "mknod/crash bfs cache | runs 150 sat 149 unsat 13 unknown 0 peak 1211 forks 1372 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | d70d02e925156fc8b4a9328a6d75bb31";
+    "mknod/crash bfs incr | runs 150 sat 149 unsat 13 unknown 0 peak 1211 forks 1372 \
+     pruned 6 incremental 154 calls 156 steals 0 workers 150 timed_out true \
+     | d70d02e925156fc8b4a9328a6d75bb31";
+    "mkfifo/analysis dfs plain | runs 150 sat 149 unsat 0 unknown 0 peak 76 forks 222 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 613a6e05d2bbe3c7c0af4e011d8aa7d6";
+    "mkfifo/analysis dfs cache | runs 150 sat 149 unsat 0 unknown 0 peak 76 forks 222 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 613a6e05d2bbe3c7c0af4e011d8aa7d6";
+    "mkfifo/analysis dfs incr | runs 150 sat 149 unsat 0 unknown 0 peak 76 forks 222 \
+     pruned 0 incremental 146 calls 149 steals 0 workers 150 timed_out true \
+     | 613a6e05d2bbe3c7c0af4e011d8aa7d6";
+    "mkfifo/analysis bfs plain | runs 150 sat 149 unsat 12 unknown 0 peak 4895 forks 5056 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 55e51e2d689460be8f364735ab9027fe";
+    "mkfifo/analysis bfs cache | runs 150 sat 149 unsat 12 unknown 0 peak 4895 forks 5056 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 55e51e2d689460be8f364735ab9027fe";
+    "mkfifo/analysis bfs incr | runs 150 sat 149 unsat 12 unknown 0 peak 4895 forks 5056 \
+     pruned 4 incremental 153 calls 157 steals 0 workers 150 timed_out true \
+     | 55e51e2d689460be8f364735ab9027fe";
+    "mkfifo/crash dfs plain | runs 150 sat 149 unsat 0 unknown 0 peak 71 forks 216 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 2b6bd92012657c339c9893cc4fa841c8";
+    "mkfifo/crash dfs cache | runs 150 sat 149 unsat 0 unknown 0 peak 71 forks 216 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 2b6bd92012657c339c9893cc4fa841c8";
+    "mkfifo/crash dfs incr | runs 150 sat 149 unsat 0 unknown 0 peak 71 forks 216 \
+     pruned 0 incremental 145 calls 149 steals 0 workers 150 timed_out true \
+     | 2b6bd92012657c339c9893cc4fa841c8";
+    "mkfifo/crash bfs plain | runs 150 sat 149 unsat 5 unknown 0 peak 2451 forks 2604 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 907d8696d66a855d3f5ce50c453cbd11";
+    "mkfifo/crash bfs cache | runs 150 sat 149 unsat 5 unknown 0 peak 2451 forks 2604 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 907d8696d66a855d3f5ce50c453cbd11";
+    "mkfifo/crash bfs incr | runs 150 sat 149 unsat 5 unknown 0 peak 2451 forks 2604 \
+     pruned 0 incremental 150 calls 154 steals 0 workers 150 timed_out true \
+     | 907d8696d66a855d3f5ce50c453cbd11";
+    "paste/analysis dfs plain | runs 150 sat 149 unsat 0 unknown 0 peak 38 forks 173 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 7e33397976e3a3b765a8b7455364c6c5";
+    "paste/analysis dfs cache | runs 150 sat 149 unsat 0 unknown 0 peak 38 forks 173 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 7e33397976e3a3b765a8b7455364c6c5";
+    "paste/analysis dfs incr | runs 150 sat 149 unsat 0 unknown 0 peak 38 forks 173 \
+     pruned 0 incremental 148 calls 149 steals 0 workers 150 timed_out true \
+     | 7e33397976e3a3b765a8b7455364c6c5";
+    "paste/analysis bfs plain | runs 150 sat 149 unsat 4 unknown 0 peak 1641 forks 1790 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 156da25fe4fafb9207dfcecb325c3b2e";
+    "paste/analysis bfs cache | runs 150 sat 149 unsat 4 unknown 0 peak 1641 forks 1790 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 156da25fe4fafb9207dfcecb325c3b2e";
+    "paste/analysis bfs incr | runs 150 sat 149 unsat 4 unknown 0 peak 1641 forks 1790 \
+     pruned 0 incremental 149 calls 153 steals 0 workers 150 timed_out true \
+     | 156da25fe4fafb9207dfcecb325c3b2e";
+    "paste/crash dfs plain | runs 150 sat 149 unsat 24 unknown 0 peak 16 forks 182 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 3bfcd0c769ba02871cab0dae2315aaa0";
+    "paste/crash dfs cache | runs 150 sat 149 unsat 24 unknown 0 peak 16 forks 182 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 3bfcd0c769ba02871cab0dae2315aaa0";
+    "paste/crash dfs incr | runs 150 sat 149 unsat 24 unknown 0 peak 16 forks 182 \
+     pruned 16 incremental 156 calls 157 steals 0 workers 150 timed_out true \
+     | 3bfcd0c769ba02871cab0dae2315aaa0";
+    "paste/crash bfs plain | runs 150 sat 149 unsat 9 unknown 0 peak 244 forks 391 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 0fc72035eea3b9cc24c338c3d453f4c2";
+    "paste/crash bfs cache | runs 150 sat 149 unsat 9 unknown 0 peak 244 forks 391 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 150 timed_out true \
+     | 0fc72035eea3b9cc24c338c3d453f4c2";
+    "paste/crash bfs incr | runs 150 sat 149 unsat 9 unknown 0 peak 244 forks 391 \
+     pruned 1 incremental 153 calls 157 steals 0 workers 150 timed_out true \
+     | 0fc72035eea3b9cc24c338c3d453f4c2";
+    "corpus/drain dfs plain | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 6 timed_out false \
+     | 4f8aa2cbdc22ca8fe78c0ad9975d4a79";
+    "corpus/drain dfs cache | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 6 timed_out false \
+     | 4f8aa2cbdc22ca8fe78c0ad9975d4a79";
+    "corpus/drain dfs incr | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 3 calls 5 steals 0 workers 6 timed_out false \
+     | 4f8aa2cbdc22ca8fe78c0ad9975d4a79";
+    "corpus/drain bfs plain | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 6 timed_out false \
+     | 6254ead009d8de70de62d7950afb7f78";
+    "corpus/drain bfs cache | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 6 timed_out false \
+     | 6254ead009d8de70de62d7950afb7f78";
+    "corpus/drain bfs incr | runs 6 sat 5 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 1 calls 5 steals 0 workers 6 timed_out false \
+     | 6254ead009d8de70de62d7950afb7f78";
+    "corpus/stop dfs plain | runs 2 sat 1 unsat 0 unknown 0 peak 3 forks 3 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 2 timed_out false \
+     | f0cc24049ad64c001f0e1f56140de49d";
+    "corpus/stop dfs cache | runs 2 sat 1 unsat 0 unknown 0 peak 3 forks 3 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 2 timed_out false \
+     | f0cc24049ad64c001f0e1f56140de49d";
+    "corpus/stop dfs incr | runs 2 sat 1 unsat 0 unknown 0 peak 3 forks 3 \
+     pruned 0 incremental 0 calls 1 steals 0 workers 2 timed_out false \
+     | f0cc24049ad64c001f0e1f56140de49d";
+    "corpus/stop bfs plain | runs 4 sat 3 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 4 timed_out false \
+     | 1772f5bcd882dfcdb74ed70d4a979427";
+    "corpus/stop bfs cache | runs 4 sat 3 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 0 calls 0 steals 0 workers 4 timed_out false \
+     | 1772f5bcd882dfcdb74ed70d4a979427";
+    "corpus/stop bfs incr | runs 4 sat 3 unsat 0 unknown 0 peak 3 forks 5 \
+     pruned 0 incremental 1 calls 3 steals 0 workers 4 timed_out false \
+     | 1772f5bcd882dfcdb74ed70d4a979427";
+  ]
+
+let test_engine_golden () =
+  Alcotest.(check (list string))
+    "engine golden" engine_golden_expected (engine_golden_runs ())
+
 let () =
   Alcotest.run "concolic"
     [
@@ -468,6 +773,8 @@ let () =
             test_dynamic_unvisited_with_tiny_budget;
           Alcotest.test_case "coverage monotone" `Slow
             test_dynamic_coverage_monotone_in_budget;
+          Alcotest.test_case "concurrent label observer" `Quick
+            test_label_observer_concurrent;
         ] );
       ( "engine",
         [
@@ -477,6 +784,7 @@ let () =
             test_engine_drained_frontier_terminates;
           Alcotest.test_case "model drives next run" `Quick
             test_engine_model_drives_next_run;
+          Alcotest.test_case "golden" `Quick test_engine_golden;
         ] );
       ( "parallel",
         [
@@ -490,6 +798,8 @@ let () =
             test_core_pruning_spares_sat_siblings;
           Alcotest.test_case "parallel respects budget" `Quick
             test_parallel_respects_run_budget;
+          Alcotest.test_case "run budget exact at every jobs" `Quick
+            test_run_budget_exact_everywhere;
         ] );
       ( "streams",
         [ Alcotest.test_case "stream bytes symbolic" `Quick test_stream_bytes_symbolic ]

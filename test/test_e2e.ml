@@ -2,6 +2,9 @@
    report → reproduce pipeline on every bundled workload, under each
    instrumentation method. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let check_bool = Alcotest.(check bool)
 
 let dynamic_budget = { Concolic.Engine.max_runs = 60; max_time_s = 8.0 }
@@ -15,7 +18,11 @@ let analysis_for ~key ~analyze_lib ~(test_scenario : Concolic.Scenario.t) prog =
   | Some a -> a
   | None ->
       let a =
-        Bugrepro.Pipeline.analyze ~dynamic_budget ~analyze_lib ~test_scenario prog
+        Run.analyze
+          Config.(
+            default |> with_budget ~dynamic:dynamic_budget
+            |> with_analyze_lib analyze_lib)
+          ~test_scenario prog
       in
       Hashtbl.replace analyses key a;
       a
@@ -24,13 +31,15 @@ let run_pipeline ?(analyze_lib = true) ~key ~(test_sc : Concolic.Scenario.t)
     ~(crash_sc : Concolic.Scenario.t) meth =
   let prog = crash_sc.prog in
   let analysis = analysis_for ~key ~analyze_lib ~test_scenario:test_sc prog in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+  let plan = Run.plan Config.default analysis meth in
+  let _, report = Run.field_run_report Config.default ~plan crash_sc in
   match report with
   | None -> Alcotest.failf "%s: field run did not crash" key
   | Some report ->
       let result, stats =
-        Bugrepro.Pipeline.reproduce ~budget:replay_budget ~prog ~plan report
+        Run.reproduce
+          (Config.with_budget ~replay:replay_budget Config.default)
+          ~prog ~plan report
       in
       (result, stats, plan, report)
 
@@ -118,7 +127,7 @@ let test_overhead_ordering_invariant () =
     analysis_for ~key:"userver" ~analyze_lib:false ~test_scenario:(userver_test_sc ())
       prog
   in
-  let count meth = (Bugrepro.Pipeline.plan analysis meth).n_instrumented in
+  let count meth = (Run.plan Config.default analysis meth).n_instrumented in
   let d = count Instrument.Methods.Dynamic in
   let ds = count Instrument.Methods.Dynamic_static in
   let s = count Instrument.Methods.Static in
@@ -135,7 +144,7 @@ let test_plan_nesting () =
     analysis_for ~key:"userver" ~analyze_lib:false ~test_scenario:(userver_test_sc ())
       prog
   in
-  let plan m = Bugrepro.Pipeline.plan analysis m in
+  let plan m = Run.plan Config.default analysis m in
   let d = plan Instrument.Methods.Dynamic in
   let ds = plan Instrument.Methods.Dynamic_static in
   let st = plan Instrument.Methods.Static in

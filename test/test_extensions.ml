@@ -2,6 +2,9 @@
    branch-prediction logging scheme, checkpointing for long-running
    applications, and cooperative multithreading with schedule logging. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -250,7 +253,7 @@ let test_mtrace_crashes_and_replays_with_schedule () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   match report with
   | None -> Alcotest.fail "race did not fire under the field scheduler"
   | Some report ->
@@ -259,8 +262,10 @@ let test_mtrace_crashes_and_replays_with_schedule () =
         | Some l -> Instrument.Schedule_log.length l > 0
         | None -> false);
       let result, _ =
-        Bugrepro.Pipeline.reproduce
-          ~budget:{ Concolic.Engine.max_runs = 20_000; max_time_s = 20.0 }
+        Run.reproduce
+          (Config.with_budget
+             ~replay:{ Concolic.Engine.max_runs = 20_000; max_time_s = 20.0 }
+             Config.default)
           ~prog ~plan report
       in
       check_bool "reproduced with schedule" true (Replay.Guided.reproduced result)
@@ -273,12 +278,14 @@ let test_mtrace_fails_without_schedule () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   let report = Option.get report in
   let stripped = { report with Instrument.Report.schedule_log = None } in
   let result, _ =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 600; max_time_s = 5.0 }
+    Run.reproduce
+      (Config.with_budget
+         ~replay:{ Concolic.Engine.max_runs = 600; max_time_s = 5.0 }
+         Config.default)
       ~prog ~plan stripped
   in
   check_bool "not reproduced without schedule" false

@@ -6,6 +6,8 @@
    case3b witness (a concretized-store contradiction that guided replay
    must backtrack through and still reproduce). *)
 
+module Config = Bugrepro.Pipeline.Config
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -151,7 +153,9 @@ let suppressed_report () =
     Concolic.Scenario.make ~name:"wire-sup" ~args:[ "q" ]
       ~world:Osmodel.World.default_config prog
   in
-  let _run, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _run, report =
+    Bugrepro.Pipeline.Run.field_run_report Config.default ~plan sc
+  in
   match report with
   | Some r when r.Instrument.Report.suppression <> [] -> r
   | Some _ -> Alcotest.fail "report carries no suppression table"
@@ -376,6 +380,34 @@ let test_known_case3b_witness () =
               check_bool "still reproduced" true
                 (Replay.Guided.reproduced result)))
 
+(* Case seed 355001523278544610 of the [--seed 42] campaign crashes, and
+   its raw and suppressed reports replay through different numbers of
+   §3.1 cases when the replays run on a worker pool: which pendings the
+   workers pick depends on scheduling.  The suppression oracle replays its
+   parity pair on one worker, so the campaign's [--jobs 2] must not turn
+   that scheduling noise into a violation. *)
+let test_suppression_parity_at_jobs_2 () =
+  match Fuzz.Gen.elaborate (Fuzz.Gen.generate ~seed:355001523278544610 ()) with
+  | Error e ->
+      Alcotest.failf "case does not elaborate: %s" (Fuzz.Gen.error_to_string e)
+  | Ok case ->
+      let cfg =
+        {
+          Fuzz.Oracle.default_cfg with
+          config = Config.with_jobs 2 Fuzz.Oracle.default_cfg.config;
+          det_jobs = 2;
+        }
+      in
+      match Fuzz.Oracle.run ~only:"suppression" cfg case with
+      | [ { verdict = Fuzz.Oracle.Pass; _ } ] -> ()
+      | outcomes ->
+          Alcotest.failf "suppression oracle: %s"
+            (String.concat "; "
+               (List.map
+                  (fun (o : Fuzz.Oracle.outcome) ->
+                    o.oracle ^ " " ^ Fuzz.Oracle.verdict_to_string o.verdict)
+                  outcomes))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -415,6 +447,8 @@ let () =
           Alcotest.test_case "save/load identity" `Quick test_corpus_save_load;
           Alcotest.test_case "seed corpus replays green" `Slow
             (replay_corpus "corpus");
+          Alcotest.test_case "suppression parity at jobs=2" `Quick
+            test_suppression_parity_at_jobs_2;
           Alcotest.test_case "known case3b witness backtracks and reproduces"
             `Quick test_known_case3b_witness;
         ] );

@@ -1,6 +1,9 @@
 (* Tests for instrumentation: plan combination rules (§2.3), the branch-log
    bitvector, the syscall log, field runs and bug reports. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -380,11 +383,13 @@ let test_syscall_log_kind_mismatch () =
 let field_run ?(meth = Instrument.Methods.All_branches) ?analysis_sc sc =
   let prog = (sc : Concolic.Scenario.t).prog in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+    Run.analyze
+      (Config.with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+         Config.default)
       ?test_scenario:analysis_sc prog
   in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
+  let plan = Run.plan Config.default analysis meth in
   (plan, Instrument.Field_run.run ~plan sc)
 
 let paste = Workloads.Coreutils.find "paste"
@@ -420,8 +425,8 @@ let test_field_run_report_only_on_crash () =
       ~nbranches:(Minic.Program.nbranches benign.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep_ok = Bugrepro.Pipeline.field_run_report ~plan benign in
-  let _, rep_crash = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep_ok = Run.field_run_report Config.default ~plan benign in
+  let _, rep_crash = Run.field_run_report Config.default ~plan crash in
   check_bool "no report for clean run" true (rep_ok = None);
   check_bool "report for crash" true (rep_crash <> None)
 
@@ -433,7 +438,7 @@ let test_report_has_no_input_content () =
       ~nbranches:(Minic.Program.nbranches crash.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Run.field_run_report Config.default ~plan crash in
   match rep with
   | None -> Alcotest.fail "expected a report"
   | Some rep ->
@@ -481,7 +486,7 @@ let real_report () =
       ~nbranches:(Minic.Program.nbranches crash.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Run.field_run_report Config.default ~plan crash in
   Option.get rep
 
 (* The full bit sequence a report's payload streams, raw or encoded. *)
@@ -529,7 +534,7 @@ let test_wire_roundtrip_mt () =
       ~nbranches:(Minic.Program.nbranches sc.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, rep = Run.field_run_report Config.default ~plan sc in
   let rep = Option.get rep in
   match Instrument.Wire.deserialize (Instrument.Wire.serialize rep) with
   | Ok rep' ->
@@ -842,8 +847,10 @@ let test_wire_v4_encoded_equals_raw_run () =
             ("wire roundtrip failed: " ^ Instrument.Wire.error_to_string e)
       | Ok rep' ->
           let result, _ =
-            Bugrepro.Pipeline.reproduce
-              ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
+            Run.reproduce
+              (Config.with_budget
+                 ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
+                 Config.default)
               ~prog:crash.prog ~plan rep'
           in
           check_bool "reproduced" true (Replay.Guided.reproduced result))
@@ -859,14 +866,16 @@ let test_wire_replay_from_deserialized () =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Run.field_run_report Config.default ~plan crash in
   let wire = Instrument.Wire.serialize (Option.get rep) in
   match Instrument.Wire.deserialize wire with
   | Error e -> Alcotest.fail e
   | Ok rep ->
       let result, _ =
-        Bugrepro.Pipeline.reproduce
-          ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
+        Run.reproduce
+          (Config.with_budget
+             ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
+             Config.default)
           ~prog ~plan rep
       in
       check_bool "reproduced from wire form" true (Replay.Guided.reproduced result)

@@ -2,6 +2,9 @@
    corrupted logs, syscall replay and the end-to-end reproduce loop on
    small programs. *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -18,16 +21,18 @@ let record ?(meth = Instrument.Methods.All_branches) ?(args = []) ?world src =
       prog
   in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+    Run.analyze
+      (Config.with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+         Config.default)
       ~test_scenario:sc prog
   in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let plan = Run.plan Config.default analysis meth in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   (prog, plan, report)
 
 let reproduce ?(budget = budget) prog plan report =
-  Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report
+  Run.reproduce (Config.with_budget ~replay:budget Config.default) ~prog ~plan report
 
 (* ------------------------------------------------------------------ *)
 
@@ -84,7 +89,7 @@ let test_reproduce_without_any_instrumentation () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none_plan sc in
+  let _, report = Run.field_run_report Config.default ~plan:none_plan sc in
   match report with
   | None -> Alcotest.fail "no crash"
   | Some report ->
@@ -185,7 +190,9 @@ let test_reproduce_file_input_without_syscall_log () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~log_syscalls:false ~plan sc in
+  let _, report =
+    Run.field_run_report (Config.with_log_syscalls false Config.default) ~plan sc
+  in
   let report = Option.get report in
   check_bool "no syscall log" true (report.syscall_log = None);
   let result, _ = reproduce prog plan report in
@@ -213,11 +220,11 @@ let prop_full_log_reproduces =
         Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
           Instrument.Methods.All_branches
       in
-      let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+      let _, report = Run.field_run_report Config.default ~plan sc in
       match report with
       | None -> false
       | Some report ->
-          let result, _ = Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report in
+          let result, _ = reproduce prog plan report in
           Replay.Guided.reproduced result)
 
 (* ------------------------------------------------------------------ *)
@@ -234,7 +241,10 @@ let test_reproduce_parallel_matches_sequential () =
         List.map
           (fun (jobs, cache) ->
             let result, stats =
-              Bugrepro.Pipeline.reproduce ~budget ~jobs ~solver_cache:cache
+              Run.reproduce
+                Config.(
+                  default |> with_budget ~replay:budget |> with_jobs jobs
+                  |> with_solver_cache cache)
                 ~prog ~plan report
             in
             (match cache, stats.cache with
@@ -257,12 +267,14 @@ let test_reproduce_parallel_no_log_search () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none sc in
+  let _, report = Run.field_run_report Config.default ~plan:none sc in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
       let result, stats =
-        Bugrepro.Pipeline.reproduce ~budget ~jobs:4 ~prog ~plan:none report
+        Run.reproduce
+          Config.(default |> with_budget ~replay:budget |> with_jobs 4)
+          ~prog ~plan:none report
       in
       check_bool "reproduced by parallel search" true
         (Replay.Guided.reproduced result);

@@ -2,6 +2,8 @@
    proof checker, the wire codec and the reconstruction state machine —
    including the field/replay parity the whole scheme rests on. *)
 
+module Config = Bugrepro.Pipeline.Config
+
 module Sup = Staticanalysis.Suppression
 
 let check_bool = Alcotest.(check bool)
@@ -527,7 +529,7 @@ let test_replay_rejects_forged_table () =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report Config.default ~plan sc in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
@@ -540,7 +542,9 @@ let test_replay_rejects_forged_table () =
       in
       let raised =
         try
-          let _ = Bugrepro.Pipeline.reproduce ~prog ~plan forged in
+          let _ =
+            Bugrepro.Pipeline.Run.reproduce Config.default ~prog ~plan forged
+          in
           false
         with Invalid_argument _ -> true
       in

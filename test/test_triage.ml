@@ -2,6 +2,9 @@
    dedup, escalating-budget scheduling with honest elapsed-time accounting,
    and the deterministic summary (jobs=1 vs jobs=4). *)
 
+module Config = Bugrepro.Pipeline.Config
+module Run = Bugrepro.Pipeline.Run
+
 module Wire = Instrument.Wire
 module Report = Instrument.Report
 module Ingest = Triage.Ingest
@@ -27,12 +30,14 @@ let record ?(name = "t") ?(meth = Instrument.Methods.All_branches)
   let prog = Workloads.Runtime_lib.link ~name:"t" src in
   let sc = Concolic.Scenario.make ~name ~args ?world prog in
   let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+    Run.analyze
+      (Config.with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+         Config.default)
       ~test_scenario:sc prog
   in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let plan = Run.plan Config.default analysis meth in
+  let _, report = Run.field_run_report Config.default ~plan sc in
   (prog, plan, Option.get report)
 
 let magic_src =
@@ -255,7 +260,7 @@ let test_escalation_accumulates_elapsed () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none sc in
+  let _, report = Run.field_run_report Config.default ~plan:none sc in
   let report = Option.get report in
   let item =
     match Ingest.of_string ~path:"r0" (Wire.serialize report) with
